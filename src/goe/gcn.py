@@ -6,6 +6,16 @@ written out by hand for exactly this composition; there is no autodiff.
 
     X_d = Drop(X)            H = ReLU(A_hat @ X_d @ W1 + b1)
     H_d = Drop(H)            Z = A_hat @ H_d @ W2 + b2
+
+Each layer runs its sparse product on the narrower side of its weight:
+``A_hat @ (x @ w)`` when ``w`` has fewer output columns than input rows,
+else ``(A_hat @ x) @ w``. The choice depends only on the shapes, so layer 2
+(h > k) always projects first and layer 1 projects first when d > h.
+
+The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
+symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
+masks are kept as bool arrays and the inverted-dropout scale ``1/keep`` is
+applied where a mask is used.
 """
 
 from __future__ import annotations
@@ -58,15 +68,16 @@ class GcnParams:
 class ForwardTrace:
     """Intermediates cached by a forward pass for the matching backward pass."""
 
-    logits: np.ndarray        # (n, k_out)
-    hidden: np.ndarray        # (n, h) post-ReLU, pre-dropout
-    prop_input: np.ndarray    # A_hat @ Drop(X)
-    prop_hidden: np.ndarray   # A_hat @ Drop(hidden)
-    relu_mask: np.ndarray     # (n, h) float 0/1
+    logits: np.ndarray          # (n, k_out)
+    hidden: np.ndarray          # (n, h) post-ReLU, pre-dropout
+    dropped_input: np.ndarray   # (n, d) Drop(X); X itself in eval mode
+    dropped_hidden: np.ndarray  # (n, h) Drop(hidden)
+    relu_mask: np.ndarray       # (n, h) bool, pre-activation > 0
     adjacency: sp.spmatrix
     training: bool
-    drop_mask_input: np.ndarray | None = None   # scaled masks: 0 or 1/(1-p)
+    drop_mask_input: np.ndarray | None = None   # bool keep masks, unscaled
     drop_mask_hidden: np.ndarray | None = None
+    dropout_scale: float = 1.0                  # 1/keep, applied with the masks
 
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
@@ -88,6 +99,13 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
+def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A_hat @ x @ w, with the sparse product on the narrower side of w."""
+    if w.shape[1] < w.shape[0]:
+        return adjacency @ (x @ w)
+    return (adjacency @ x) @ w
+
+
 def forward(params: GcnParams, adjacency: sp.spmatrix, features: np.ndarray,
             *, training: bool = False, dropout: float = 0.0,
             rng: np.random.Generator | None = None) -> ForwardTrace:
@@ -100,31 +118,32 @@ def forward(params: GcnParams, adjacency: sp.spmatrix, features: np.ndarray,
     if use_dropout and rng is None:
         raise ValueError("training-mode dropout needs an rng")
     keep = 1.0 - dropout
+    scale = 1.0 / keep if use_dropout else 1.0
 
     mask_in = None
     x = features
     if use_dropout:
-        mask_in = (rng.random(features.shape) < keep).astype(np.float64) / keep
+        mask_in = rng.random(features.shape) < keep
         x = features * mask_in
-    prop_input = adjacency @ x
-    pre_act = prop_input @ params.w1 + params.b1
-    relu_mask = (pre_act > 0).astype(np.float64)
+        x *= scale
+    pre_act = _propagate(adjacency, x, params.w1) + params.b1
+    relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
 
     mask_h = None
     h = hidden
     if use_dropout:
-        mask_h = (rng.random(hidden.shape) < keep).astype(np.float64) / keep
+        mask_h = rng.random(hidden.shape) < keep
         h = hidden * mask_h
-    prop_hidden = adjacency @ h
-    logits = prop_hidden @ params.w2 + params.b2
+        h *= scale
+    logits = _propagate(adjacency, h, params.w2) + params.b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
 
     return ForwardTrace(
-        logits=logits, hidden=hidden, prop_input=prop_input,
-        prop_hidden=prop_hidden, relu_mask=relu_mask, adjacency=adjacency,
-        training=use_dropout, drop_mask_input=mask_in, drop_mask_hidden=mask_h,
+        logits=logits, hidden=hidden, dropped_input=x, dropped_hidden=h,
+        relu_mask=relu_mask, adjacency=adjacency, training=use_dropout,
+        drop_mask_input=mask_in, drop_mask_hidden=mask_h, dropout_scale=scale,
     )
 
 
@@ -132,18 +151,23 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
              weight_decay: float = 0.0) -> dict[str, np.ndarray]:
     """Gradients of loss(logits) + (wd/2)*(|W1|^2 + |W2|^2) w.r.t. parameters.
 
-    Weight decay touches the weight matrices only, never the biases.
+    Weight decay touches the weight matrices only, never the biases. The
+    gradients take ``A_hat.T`` to be ``A_hat``, so the trace's adjacency must
+    be symmetric, as ``graph.normalize_adjacency`` builds it; the same path
+    serves either multiplication order of the forward pass.
     """
     if grad_logits.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match trace logits")
-    grad_w2 = trace.prop_hidden.T @ grad_logits
+    adjacency = trace.adjacency
+    prop_grad = adjacency @ grad_logits
+    grad_w2 = trace.dropped_hidden.T @ prop_grad
     grad_b2 = grad_logits.sum(axis=0)
-    g = grad_logits @ params.w2.T
-    g = trace.adjacency.T @ g
+    g = prop_grad @ params.w2.T
     if trace.drop_mask_hidden is not None:
-        g = g * trace.drop_mask_hidden
-    g = g * trace.relu_mask
-    grad_w1 = trace.prop_input.T @ g
+        g *= trace.drop_mask_hidden
+        g *= trace.dropout_scale
+    g *= trace.relu_mask
+    grad_w1 = trace.dropped_input.T @ (adjacency @ g)
     grad_b1 = g.sum(axis=0)
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * params.w1

@@ -512,20 +512,13 @@ def run_experiment(config: ExperimentConfig,
 
 
 def environment_info() -> dict:
-    """Kernel thread counts and library versions for the run record.
+    """Library versions for the run record.
 
-    Results are only bitwise reproducible for a fixed kernel thread count, so
-    the count is persisted alongside the config.
+    Results are bitwise reproducible only for a fixed BLAS thread count too,
+    but that count is not recorded: reading it needs threadpoolctl, which is
+    not a dependency.
     """
-    info: dict = {"numpy": np.__version__}
-    try:
-        from threadpoolctl import threadpool_info
-        info["kernel_threads"] = sorted(
-            {entry.get("num_threads") for entry in threadpool_info()
-             if entry.get("num_threads")})
-    except ImportError:
-        info["kernel_threads"] = None
-    return info
+    return {"numpy": np.__version__}
 
 
 def format_results_table(reports: list[EvalReport]) -> str:

@@ -61,6 +61,11 @@ def _identity_adj(n):
     return sp.identity(n, format="csr")
 
 
+# (d, h) pairs on each side of the layer-1 rule: project first when d > h
+LAYER_1_ORDERS = [(6, 5), (4, 8)]
+LAYER_1_ORDER_IDS = ["project-first", "propagate-first"]
+
+
 class TestForward:
     def test_zero_params_zero_logits(self):
         p = GcnParams(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
@@ -100,6 +105,21 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(p, _identity_adj(2), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    def test_training_logits_match_dense_reference(self, d, h):
+        _, X, A, _ = build_random_graph(seed=5, dim=d)
+        p = init_params(d, h, 3, seed=5)
+        trace = forward(p, A, X, training=True, dropout=0.5,
+                        rng=np.random.default_rng(11))
+
+        rng = np.random.default_rng(11)
+        a_dense = A.toarray()
+        x_d = X * (rng.random(X.shape) < 0.5) / 0.5
+        hidden = np.maximum(a_dense @ x_d @ p.w1 + p.b1, 0.0)
+        h_d = hidden * (rng.random(hidden.shape) < 0.5) / 0.5
+        expected = a_dense @ h_d @ p.w2 + p.b2
+        np.testing.assert_allclose(trace.logits, expected, rtol=1e-12, atol=1e-12)
+
 
 class TestBackward:
     def test_zero_grad_logits(self):
@@ -120,13 +140,17 @@ class TestBackward:
         assert np.all(grads["b1"] == 0.0)
         assert np.all(grads["b2"] == 0.0)
 
-    def test_matches_finite_differences_through_network(self):
-        graph, X, A, labels = build_random_graph(seed=3, n=10)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    def test_matches_finite_differences_through_network(self, d, h, dropout):
+        graph, X, A, labels = build_random_graph(seed=3, n=10, dim=d)
         train_ids = np.arange(6)
-        p = init_params(X.shape[1], 5, 2, seed=3)
+        p = init_params(X.shape[1], h, 2, seed=3)
 
         def objective(params):
-            trace = forward(params, A, X)
+            # a fresh rng per call freezes the dropout masks across the probes
+            trace = forward(params, A, X, training=dropout > 0, dropout=dropout,
+                            rng=np.random.default_rng(7))
             loss, grad_logits = supervised_loss(trace.logits, labels, train_ids)
             return loss, backward(params, trace, grad_logits, weight_decay=0.0)
 

@@ -20,6 +20,7 @@ from goe.graph import (
     save_dataset,
     save_split,
 )
+from goe.llm import GeneratedNode, augment_graph
 
 
 def _write_dataset(directory, texts, labels, edges, embeddings, dim=None):
@@ -133,6 +134,18 @@ class TestNormalizeAdjacency:
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) > 0)
         assert np.all(a.sum(axis=1) > 0)
+
+    def test_exactly_symmetric_on_planted_and_knn_augmented(self, planted):
+        # gcn.backward uses A_hat in place of A_hat.T
+        graph, _ = planted
+        rng = np.random.default_rng(0)
+        nodes = [GeneratedNode("G", f"t{i}", "b") for i in range(20)]
+        for node in nodes:
+            node.embedding = rng.normal(size=graph.embedding_dim)
+        augmented, _ = augment_graph(graph, nodes, edge_mode="knn")
+        for g in (graph, augmented.graph):
+            a = normalize_adjacency(g)
+            assert (a - a.T).nnz == 0
 
     def test_regular_graph_rows_sum_to_one(self):
         # 6-cycle: every node is 2-regular, so each entry is 1/3
