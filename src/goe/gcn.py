@@ -16,10 +16,24 @@ The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
 symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
 masks are kept as bool arrays and the inverted-dropout scale ``1/keep`` is
 applied where a mask is used.
+
+Both passes run on a ``ReceptiveField``: the output rows F0, the rows F1 that
+layer 2 reads (F0 and its neighbours) and the rows F2 that layer 1 reads (F1
+and its neighbours). Logits on F0 depend on nothing outside F2, so a pass on
+the field gives the full-graph rows of F0, and the full-graph gradients of a
+loss that reads only F0. ``train_classifier`` runs each epoch on two fields,
+one grown from the nodes the loss reads and one from the validation nodes,
+so an epoch costs in proportion to the fields, not to the graph. The blocks
+``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]`` stand in for the transposes
+of the forward blocks, which again needs a symmetric ``A_hat``. A plain
+adjacency is the whole-graph field. Dropout masks are drawn for the whole
+graph, in the same calls and order as a full-graph pass, and then cut to the
+field's rows, so a seed gives the same masks on any field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,14 +80,18 @@ class GcnParams:
 
 @dataclass
 class ForwardTrace:
-    """Intermediates cached by a forward pass for the matching backward pass."""
+    """Intermediates cached by a forward pass for the matching backward pass.
+
+    On a field, row counts are |F0| for ``logits``, |F1| for the hidden
+    arrays and |F2| for ``dropped_input``; the shapes below are whole-graph.
+    """
 
     logits: np.ndarray          # (n, k_out)
     hidden: np.ndarray          # (n, h) post-ReLU, pre-dropout
     dropped_input: np.ndarray   # (n, d) Drop(X); X itself in eval mode
     dropped_hidden: np.ndarray  # (n, h) Drop(hidden)
     relu_mask: np.ndarray       # (n, h) bool, pre-activation > 0
-    adjacency: sp.spmatrix
+    field: ReceptiveField
     training: bool
     drop_mask_input: np.ndarray | None = None   # bool keep masks, unscaled
     drop_mask_hidden: np.ndarray | None = None
@@ -99,6 +117,56 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
+@dataclass(frozen=True)
+class ReceptiveField:
+    """The rows and adjacency blocks a two-layer pass needs for its outputs.
+
+    ``rows`` holds the sorted node ids F0 ⊆ F1 ⊆ F2 (or ``slice(None)`` for
+    the whole graph). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
+    ``A_hat[F0][:, F1]``; ``layer1_t`` and ``layer2_t`` are their transposes,
+    sliced as ``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]``.
+    """
+
+    rows: tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray | slice]
+    layer1: sp.spmatrix
+    layer2: sp.spmatrix
+    layer1_t: sp.spmatrix
+    layer2_t: sp.spmatrix
+
+    @classmethod
+    def whole(cls, adjacency: sp.spmatrix) -> "ReceptiveField":
+        return cls((slice(None),) * 3, adjacency, adjacency, adjacency, adjacency)
+
+    def local(self, node_ids: np.ndarray) -> np.ndarray:
+        """Positions of ``node_ids`` (all in F0) among a grown field's output rows."""
+        return np.searchsorted(self.rows[0], node_ids)
+
+
+def _grow(adjacency: sp.spmatrix, rows: np.ndarray) -> np.ndarray:
+    """``rows`` and their neighbours, sorted."""
+    return np.union1d(rows, adjacency[rows].indices)
+
+
+def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
+                    hops: int = 0) -> ReceptiveField:
+    """The field whose output rows F0 are ``targets`` grown by ``hops`` hops.
+
+    ``hops`` covers a post-hoc step that reads neighbours of the targets'
+    logits, such as ``energy_prop`` with that many iterations.
+    """
+    out = np.unique(np.asarray(targets, dtype=np.int64))
+    for _ in range(hops):
+        out = _grow(adjacency, out)
+    mid = _grow(adjacency, out)
+    inp = _grow(adjacency, mid)
+    mid_rows = adjacency[mid]
+    return ReceptiveField(
+        rows=(out, mid, inp),
+        layer1=mid_rows[:, inp], layer2=adjacency[out][:, mid],
+        layer1_t=adjacency[inp][:, mid], layer2_t=mid_rows[:, out],
+    )
+
+
 def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """A_hat @ x @ w, with the sparse product on the narrower side of w."""
     if w.shape[1] < w.shape[0]:
@@ -106,10 +174,14 @@ def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray) -> np.ndarr
     return (adjacency @ x) @ w
 
 
-def forward(params: GcnParams, adjacency: sp.spmatrix, features: np.ndarray,
-            *, training: bool = False, dropout: float = 0.0,
+def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
+            features: np.ndarray, *, training: bool = False, dropout: float = 0.0,
             rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Full-batch forward pass; eval mode is deterministic and dropout-free."""
+    """Forward pass on a field, or on the whole graph for a plain adjacency.
+
+    ``features`` always holds every node; eval mode is deterministic and
+    dropout-free.
+    """
     if features.shape[1] != params.input_dim:
         raise ValueError(
             f"feature dim {features.shape[1]} != parameter input dim {params.input_dim}"
@@ -117,32 +189,36 @@ def forward(params: GcnParams, adjacency: sp.spmatrix, features: np.ndarray,
     use_dropout = training and dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode dropout needs an rng")
+    field = (adjacency if isinstance(adjacency, ReceptiveField)
+             else ReceptiveField.whole(adjacency))
+    _, mid, inp = field.rows
     keep = 1.0 - dropout
     scale = 1.0 / keep if use_dropout else 1.0
 
     mask_in = None
-    x = features
     if use_dropout:
-        mask_in = rng.random(features.shape) < keep
-        x = features * mask_in
+        mask_in = (rng.random(features.shape) < keep)[inp]
+        x = features[inp] * mask_in
         x *= scale
-    pre_act = _propagate(adjacency, x, params.w1) + params.b1
+    else:
+        x = features[inp]
+    pre_act = _propagate(field.layer1, x, params.w1) + params.b1
     relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
 
     mask_h = None
     h = hidden
     if use_dropout:
-        mask_h = rng.random(hidden.shape) < keep
+        mask_h = (rng.random((features.shape[0], params.hidden_dim)) < keep)[mid]
         h = hidden * mask_h
         h *= scale
-    logits = _propagate(adjacency, h, params.w2) + params.b2
+    logits = _propagate(field.layer2, h, params.w2) + params.b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
 
     return ForwardTrace(
         logits=logits, hidden=hidden, dropped_input=x, dropped_hidden=h,
-        relu_mask=relu_mask, adjacency=adjacency, training=use_dropout,
+        relu_mask=relu_mask, field=field, training=use_dropout,
         drop_mask_input=mask_in, drop_mask_hidden=mask_h, dropout_scale=scale,
     )
 
@@ -154,12 +230,13 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
     Weight decay touches the weight matrices only, never the biases. The
     gradients take ``A_hat.T`` to be ``A_hat``, so the trace's adjacency must
     be symmetric, as ``graph.normalize_adjacency`` builds it; the same path
-    serves either multiplication order of the forward pass.
+    serves either multiplication order of the forward pass. On a field,
+    ``grad_logits`` holds the F0 rows, and the loss must read no other rows.
     """
     if grad_logits.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match trace logits")
-    adjacency = trace.adjacency
-    prop_grad = adjacency @ grad_logits
+    field = trace.field
+    prop_grad = field.layer2_t @ grad_logits
     grad_w2 = trace.dropped_hidden.T @ prop_grad
     grad_b2 = grad_logits.sum(axis=0)
     g = prop_grad @ params.w2.T
@@ -167,7 +244,7 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
         g *= trace.drop_mask_hidden
         g *= trace.dropout_scale
     g *= trace.relu_mask
-    grad_w1 = trace.dropped_input.T @ (adjacency @ g)
+    grad_w1 = trace.dropped_input.T @ (field.layer1_t @ g)
     grad_b1 = g.sum(axis=0)
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * params.w1
@@ -305,17 +382,6 @@ class TrainResult:
     best_val_score: float
 
 
-def _validation_scores(params: GcnParams, adjacency, features, spec: ObjectiveSpec,
-                       row_stochastic, prop_alpha: float, prop_iterations: int,
-                       ) -> tuple[ForwardTrace, np.ndarray]:
-    trace = forward(params, adjacency, features)
-    scores = scoring.score_nodes(
-        trace.logits, spec.val_scorer, row_stochastic=row_stochastic,
-        alpha=prop_alpha, iterations=prop_iterations,
-    )
-    return trace, scores
-
-
 def train_classifier(
     features: np.ndarray,
     adjacency: sp.spmatrix,
@@ -332,14 +398,38 @@ def train_classifier(
 ) -> TrainResult:
     """Full-batch training with early stopping on val accuracy + val AUROC.
 
-    Keeps the parameters of the best epoch (ties resolved to the earliest)
-    and stops after ``config.patience`` consecutive non-improving epochs.
+    Every epoch trains on the receptive field of the nodes the loss reads
+    (train and pseudo-OOD) and validates on the field of ``val_id`` and
+    ``val_ood``, grown by ``prop_iterations`` hops when the val scorer is
+    ``energy_prop``. Both give the full-graph loss, gradients and scores.
+    ``row_stochastic`` must share ``adjacency``'s sparsity pattern, as the
+    two operators in ``graph`` do. Keeps the parameters of the best epoch
+    (ties resolved to the earliest) and stops after ``config.patience``
+    consecutive non-improving epochs.
     """
     config.validate()
     spec.validate()
     train_ids = np.asarray(split.train_id)
     if train_ids.size == 0:
         raise ValueError("empty training set")
+    labels = np.asarray(labels)
+
+    pseudo = spec.pseudo_ood_ids
+    train_field = receptive_field(
+        adjacency, train_ids if pseudo is None else np.concatenate([train_ids, pseudo]))
+    train_labels = labels[train_field.rows[0]]
+    local_train = train_field.local(train_ids)
+    train_spec = (spec if pseudo is None
+                  else dataclasses.replace(spec, pseudo_ood_ids=train_field.local(pseudo)))
+
+    propagated = spec.val_scorer == "energy_prop"
+    val_field = receptive_field(adjacency, np.concatenate([split.val_id, split.val_ood]),
+                                prop_iterations if propagated else 0)
+    val_rows = val_field.rows[0]
+    val_labels = labels[val_rows]
+    val_id, val_ood = val_field.local(split.val_id), val_field.local(split.val_ood)
+    val_prop = (row_stochastic[val_rows][:, val_rows]
+                if propagated and row_stochastic is not None else None)
 
     params = init_params(features.shape[1], config.hidden_dim, output_dim, config.seed)
     state = init_adam(params)
@@ -352,22 +442,26 @@ def train_classifier(
     history: list[dict] = []
 
     for epoch in range(1, config.max_epochs + 1):
-        trace = forward(params, adjacency, features,
+        trace = forward(params, train_field, features,
                         training=True, dropout=config.dropout, rng=rng)
-        loss, grad_logits = objective_loss(trace.logits, labels, train_ids, spec)
+        loss, grad_logits = objective_loss(trace.logits, train_labels, local_train,
+                                           train_spec)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss at epoch {epoch} (objective {spec.kind})"
             )
         grads = backward(params, trace, grad_logits, weight_decay=config.weight_decay)
+        del trace
         adam_step(state, params, grads, config.learning_rate)
 
-        eval_trace, scores = _validation_scores(
-            params, adjacency, features, spec, row_stochastic, prop_alpha, prop_iterations,
+        logits = forward(params, val_field, features).logits
+        scores = scoring.score_nodes(
+            logits, spec.val_scorer, row_stochastic=val_prop,
+            alpha=prop_alpha, iterations=prop_iterations,
         )
-        val_acc = metrics.id_accuracy(eval_trace.logits, labels, split.val_id,
+        val_acc = metrics.id_accuracy(logits, val_labels, val_id,
                                       id_class_count=id_class_count)
-        val_auroc = metrics.auroc(scores[split.val_id], scores[split.val_ood])
+        val_auroc = metrics.auroc(scores[val_id], scores[val_ood])
         val_score = val_acc + val_auroc
         history.append({
             "epoch": epoch, "loss": loss,

@@ -20,6 +20,7 @@ import os
 import re
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -73,19 +74,43 @@ def text_key(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 class ChatCache:
-    """Append-only jsonl log of chat responses, keyed by hash(model, prompt)."""
+    """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
+
+    A crash mid-append leaves a torn last line with no newline. Loading skips
+    it with a warning, and the first ``put`` cuts the file back to the end of
+    its last complete line before appending. Any other unreadable line raises.
+    """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
+        # (size to cut the file to, text to write first) before the next append
+        self._repair: tuple[int, str] | None = None
         if self.path.exists():
-            with self.path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        self._records[rec["key"]] = rec
+            self._load()
+
+    def _load(self) -> None:
+        line = "\n"
+        with self.path.open() as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    if line.endswith("\n"):
+                        raise ValueError(
+                            f"{self.path}: line {number} is not a chat record: {exc}"
+                        ) from None
+                    warnings.warn(f"{self.path}: skipping torn last line {number}",
+                                  stacklevel=3)
+                    size = self.path.stat().st_size - len(line.encode(fh.encoding))
+                    self._repair = (size, "")
+                    return
+                self._records[rec["key"]] = rec
+        if not line.endswith("\n"):
+            self._repair = (self.path.stat().st_size, "\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -99,8 +124,13 @@ class ChatCache:
                 return
             self._records[record["key"]] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            prefix = ""
+            if self._repair is not None:
+                size, prefix = self._repair
+                os.truncate(self.path, size)
+                self._repair = None
             with self.path.open("a") as fh:
-                fh.write(json.dumps(record) + "\n")
+                fh.write(prefix + json.dumps(record) + "\n")
 
 
 class MockChatClient:

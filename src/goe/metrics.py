@@ -26,17 +26,17 @@ def id_accuracy(logits: np.ndarray, labels: np.ndarray, node_ids: np.ndarray,
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's mean rank."""
+    """1-based ranks with ties sharing their group's mean rank.
+
+    The same result as ``scipy.stats.rankdata(values, method="average")``,
+    without importing ``scipy.stats`` (about 1 s and 50 MB of RSS).
+    """
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 

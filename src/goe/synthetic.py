@@ -57,17 +57,17 @@ def make_planted_tag(
         for i in range(n)
     ]
 
+    same = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    other = [np.flatnonzero(labels != c) for c in range(n_classes)]
     pairs = []
     for i in range(n):
         cls = labels[i]
-        same = np.flatnonzero(labels == cls)
-        partners = rng.choice(same, size=intra_degree, replace=False)
+        partners = rng.choice(same[cls], size=intra_degree, replace=False)
         for j in partners:
             if i != j:
                 pairs.append((i, int(j)))
         if rng.random() < cross_edge_fraction:
-            other = np.flatnonzero(labels != cls)
-            pairs.append((i, int(rng.choice(other))))
+            pairs.append((i, int(rng.choice(other[cls]))))
     edges = canonicalize_edges(np.array(pairs, dtype=np.int64), n)
 
     graph = TextAttributedGraph(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from goe import gcn, metrics, scoring
 from goe.gcn import (
     GcnParams,
     TrainConfig,
@@ -14,6 +15,7 @@ from goe.gcn import (
     init_adam,
     init_params,
     load_params,
+    receptive_field,
     save_params,
     train_classifier,
 )
@@ -22,9 +24,16 @@ from goe.graph import (
     canonicalize_edges,
     normalize_adjacency,
     make_class_split,
+    row_stochastic_adjacency,
     sample_data_split,
 )
-from goe.objectives import EXPOSURE, SUPERVISED, ObjectiveSpec, supervised_loss
+from goe.objectives import (
+    EXPOSURE,
+    SUPERVISED,
+    ObjectiveSpec,
+    objective_loss,
+    supervised_loss,
+)
 
 from conftest import build_random_graph
 
@@ -157,6 +166,75 @@ class TestBackward:
         err = gradient_check(objective, p, step=1e-4,
                              rng=np.random.default_rng(0))
         assert err <= 1e-4
+
+
+def _neighbourhood(adjacency, rows):
+    """Dense oracle: ``rows`` plus every node adjacent to one of them."""
+    dense = adjacency.toarray() != 0
+    member = np.zeros(adjacency.shape[0], dtype=bool)
+    member[rows] = True
+    return np.flatnonzero(member | dense[:, member].any(axis=1))
+
+
+class TestReceptiveField:
+    TARGETS = np.array([17, 0, 9, 5])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_rows_are_nested_hops(self, seed):
+        _, _, A, _ = build_random_graph(seed=seed, n=60, edge_prob=0.03)
+        field = receptive_field(A, self.TARGETS, hops=1)
+        out, mid, inp = field.rows
+        assert np.array_equal(out, _neighbourhood(A, self.TARGETS))
+        assert np.array_equal(mid, _neighbourhood(A, out))
+        assert np.array_equal(inp, _neighbourhood(A, mid))
+        dense = A.toarray()
+        assert np.array_equal(field.layer1.toarray(), dense[np.ix_(mid, inp)])
+        assert np.array_equal(field.layer2.toarray(), dense[np.ix_(out, mid)])
+        assert np.array_equal(field.layer1_t.toarray(), field.layer1.toarray().T)
+        assert np.array_equal(field.layer2_t.toarray(), field.layer2.toarray().T)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5], ids=["eval", "train"])
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_logits_and_gradients_match_full_graph(self, seed, d, h, dropout):
+        _, X, A, labels = build_random_graph(seed=seed, n=60, dim=d, edge_prob=0.03)
+        p = init_params(d, h, 2, seed=seed)
+        field = receptive_field(A, self.TARGETS)
+        assert field.rows[2].size < A.shape[0]
+
+        def run(where, row_labels, ids):
+            # a fresh rng on both sides: the field must use the full masks' rows
+            trace = forward(p, where, X, training=dropout > 0, dropout=dropout,
+                            rng=np.random.default_rng(7))
+            _, grad_logits = supervised_loss(trace.logits, row_labels, ids)
+            return trace, backward(p, trace, grad_logits, weight_decay=5e-4)
+
+        full, full_grads = run(A, labels, self.TARGETS)
+        part, part_grads = run(field, labels[field.rows[0]], field.local(self.TARGETS))
+        out, mid, inp = field.rows
+        np.testing.assert_allclose(part.logits, full.logits[out], rtol=1e-12, atol=1e-12)
+        for name, grad in full_grads.items():
+            np.testing.assert_allclose(part_grads[name], grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad).max())
+        if dropout:
+            assert np.array_equal(part.drop_mask_input, full.drop_mask_input[inp])
+            assert np.array_equal(part.drop_mask_hidden, full.drop_mask_hidden[mid])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_energy_prop_scores_match_full_graph(self, seed):
+        graph, X, A, _ = build_random_graph(seed=seed, n=60, edge_prob=0.03)
+        P = row_stochastic_adjacency(graph)
+        p = init_params(X.shape[1], 8, 3, seed=seed)
+        field = receptive_field(A, self.TARGETS, hops=2)
+        out = field.rows[0]
+        assert out.size < A.shape[0]
+
+        full = scoring.score_nodes(forward(p, A, X).logits, "energy_prop",
+                                   row_stochastic=P, iterations=2)
+        part = scoring.score_nodes(forward(p, field, X).logits, "energy_prop",
+                                   row_stochastic=P[out][:, out], iterations=2)
+        np.testing.assert_allclose(part[field.local(self.TARGETS)], full[self.TARGETS],
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestAdam:
@@ -361,6 +439,55 @@ class TestTrainLoop:
             train_classifier(X, A, labels, split, cfg,
                              ObjectiveSpec(kind=SUPERVISED),
                              output_dim=2, id_class_count=2)
+
+
+def _full_graph_history(X, A, labels, split, cfg, spec, P):
+    """The training loop on the whole graph every epoch: the reference that
+    field training must reproduce."""
+    params = init_params(X.shape[1], cfg.hidden_dim, 2, cfg.seed)
+    state = init_adam(params)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed, spawn_key=(gcn._STREAM_DROPOUT,)))
+    history = []
+    for _ in range(cfg.max_epochs):
+        trace = forward(params, A, X, training=True, dropout=cfg.dropout, rng=rng)
+        loss, grad_logits = objective_loss(trace.logits, labels, split.train_id, spec)
+        adam_step(state, params, backward(params, trace, grad_logits, cfg.weight_decay),
+                  cfg.learning_rate)
+        logits = forward(params, A, X).logits
+        scores = scoring.score_nodes(logits, spec.val_scorer, row_stochastic=P)
+        history.append({
+            "loss": loss,
+            "val_acc": metrics.id_accuracy(logits, labels, split.val_id, id_class_count=2),
+            "val_auroc": metrics.auroc(scores[split.val_id], scores[split.val_ood]),
+        })
+    return history
+
+
+@pytest.mark.parametrize("kind, val_scorer", [(SUPERVISED, "energy"),
+                                              (EXPOSURE, "energy_prop")])
+def test_field_training_history_matches_full_graph_loop(planted, kind, val_scorer):
+    graph, _ = planted
+    cs = make_class_split(graph.labels, [0, 1])
+    split = sample_data_split(graph, cs, 0, test_id_size=150, test_ood_size=150)
+    labels = cs.compact_labels(graph.labels)
+    X, A = graph.embeddings.astype(np.float64), normalize_adjacency(graph)
+    P = row_stochastic_adjacency(graph)
+    pseudo = None
+    if kind == EXPOSURE:
+        pseudo = np.setdiff1d(np.flatnonzero(graph.labels == 2),
+                              split.evaluation_nodes())[:30]
+    spec = ObjectiveSpec(kind=kind, pseudo_ood_ids=pseudo, val_scorer=val_scorer)
+    cfg = TrainConfig(hidden_dim=16, max_epochs=5, patience=5, seed=3)
+
+    result = train_classifier(X, A, labels, split, cfg, spec, output_dim=2,
+                              id_class_count=2, row_stochastic=P)
+    reference = _full_graph_history(X, A, labels, split, cfg, spec, P)
+    assert len(result.history) == len(reference) == 5
+    for got, want in zip(result.history, reference):
+        assert got["val_acc"] == want["val_acc"]
+        assert got["val_auroc"] == want["val_auroc"]
+        assert got["loss"] == pytest.approx(want["loss"], rel=1e-12)
 
 
 def test_train_config_validation():

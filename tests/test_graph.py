@@ -1,5 +1,6 @@
 """Dataset format, adjacency operators, and split sampling."""
 
+import hashlib
 import json
 import struct
 
@@ -94,6 +95,24 @@ def test_dataset_roundtrip_identical(planted, tmp_path):
     assert np.array_equal(loaded.edges, graph.edges)
     assert np.array_equal(loaded.embeddings, graph.embeddings)
     assert loaded_manifest == manifest
+
+
+def test_planted_graph_seed_0_is_pinned(planted):
+    """The generator's output is part of every benchmark and fixture; a
+    faster generator must draw the same rng sequence and give the same bytes."""
+    graph, _ = planted
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert digest(graph.edges.astype("<i8").tobytes()) == (
+        "973cd7119f7f0503930d801bd234acf06a3772f88d59fa2e328f6a8e4042e918")
+    assert digest(graph.embeddings.astype("<f4").tobytes()) == (
+        "33d2e224a9088031f2c4b71c833590171aea4d999d6620d29341b8350c05ec7e")
+    assert digest(graph.labels.astype("<i8").tobytes()) == (
+        "298179e3bf74b4faeb7aef5820646a0d68de85b0530fcb1c2e34cf85a2d3ff66")
+    assert digest("\n".join(graph.texts).encode("utf-8")) == (
+        "0fc9cd8e9155072cf518227b6e19058eb1280da186ca60bb9d13cb189869302b")
 
 
 def test_canonicalize_rejects_self_loop():

@@ -195,6 +195,44 @@ class TestChatCache:
         assert len(reloaded) == 1
         assert reloaded.get(record["key"])["response"] == "r"
 
+    @staticmethod
+    def _record(prompt):
+        return {"key": chat_key("m", prompt), "node_id": None, "prompt": prompt,
+                "response": f"reply to {prompt}", "parsed": "", "model": "m",
+                "timestamp": ""}
+
+    def test_torn_last_line_is_skipped_then_cut_on_put(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = [json.dumps(self._record(p)) + "\n" for p in ("a", "b", "c")]
+        path.write_text(lines[0] + lines[1] + lines[2][:25])
+        with pytest.warns(UserWarning, match="torn last line 3") as caught:
+            cache = ChatCache(path)
+        assert str(path) in str(caught[0].message)
+        assert len(cache) == 2
+        assert cache.get(chat_key("m", "c")) is None
+
+        cache.put(self._record("c"))
+        assert path.read_text() == "".join(lines)
+        reloaded = ChatCache(path)
+        assert len(reloaded) == 3
+        assert reloaded.get(chat_key("m", "c"))["response"] == "reply to c"
+
+    def test_unterminated_complete_last_line_is_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = [json.dumps(self._record(p)) + "\n" for p in ("a", "b")]
+        path.write_text(lines[0] + lines[1].rstrip("\n"))
+        cache = ChatCache(path)
+        assert len(cache) == 2
+        cache.put(self._record("c"))
+        assert len(ChatCache(path)) == 3
+
+    def test_bad_inner_line_raises_with_its_number(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps(self._record("a")) + "\n"
+        path.write_text(good + '{"key": "torn\n' + good)
+        with pytest.raises(ValueError, match="line 2 is not a chat record"):
+            ChatCache(path)
+
     def test_replay_client_roundtrip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ChatCache(path)

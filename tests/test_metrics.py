@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from goe.metrics import aupr, auroc, fpr_at_95_tpr, id_accuracy, score_histogram
+from goe.metrics import (
+    _average_ranks,
+    aupr,
+    auroc,
+    fpr_at_95_tpr,
+    id_accuracy,
+    score_histogram,
+)
 
 from conftest import brute_force_aupr_oracle, pairwise_auroc_oracle, random_score_sets
 
@@ -31,6 +38,26 @@ class TestIdAccuracy:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             id_accuracy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.array([], dtype=int))
+
+
+def _average_ranks_loop(values):
+    """Reference: walk the sorted values and give each tie group its mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j < len(values) and values[order[j]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    return ranks
+
+
+def test_average_ranks_match_loop_reference():
+    for id_s, ood_s in random_score_sets(seed=4, count=100):
+        values = np.concatenate([id_s, ood_s])
+        assert np.array_equal(_average_ranks(values), _average_ranks_loop(values))
 
 
 class TestAuroc:
