@@ -122,7 +122,8 @@ class ReceptiveField:
     """The rows and adjacency blocks a two-layer pass needs for its outputs.
 
     ``rows`` holds the sorted node ids F0 ⊆ F1 ⊆ F2 (or ``slice(None)`` for
-    the whole graph). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
+    the whole graph; a grown field's F2 is ``slice(None)`` when it holds every
+    node). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
     ``A_hat[F0][:, F1]``; ``layer1_t`` and ``layer2_t`` are their transposes,
     sliced as ``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]``.
     """
@@ -159,6 +160,8 @@ def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
         out = _grow(adjacency, out)
     mid = _grow(adjacency, out)
     inp = _grow(adjacency, mid)
+    if inp.size == adjacency.shape[0]:
+        inp = slice(None)          # forward then reads the features in place
     mid_rows = adjacency[mid]
     return ReceptiveField(
         rows=(out, mid, inp),

@@ -9,19 +9,26 @@ Two pipelines produce pseudo-OOD training signal without real OOD labels:
 
 Chat traffic flows through an append-only jsonl cache keyed by
 hash(model, prompt), so every pipeline can be replayed offline and
-byte-for-byte deterministically.
+byte-for-byte deterministically. Identification looks every prompt up in the
+calling thread; only the chat calls for misses go to worker threads, at most
+``8 × concurrency`` of them in flight, and the caller appends each record as
+its call completes, with one ``os.write`` under ``flock``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,23 +83,37 @@ def text_key(text: str) -> str:
 class ChatCache:
     """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
 
+    The first ``put`` creates the directory and opens one ``O_APPEND``
+    descriptor, which lives as long as the cache. Each record is encoded once
+    and written with a single ``os.write`` under ``flock(LOCK_EX)``, so
+    writers in several threads or processes never interleave records; a short
+    write is cut back off and raises. Loading reads under ``LOCK_SH``, so it
+    sees whole records only. A cache that only reads opens no descriptor.
+
     A crash mid-append leaves a torn last line with no newline. Loading skips
     it with a warning, and the first ``put`` cuts the file back to the end of
-    its last complete line before appending. Any other unreadable line raises.
+    its last complete line before appending (or writes the missing newline
+    after a complete record). That repair runs under the same lock, and only
+    if the file still has the size seen at load: otherwise another writer has
+    already repaired it and appended, and cutting would destroy its records.
+    Any other unreadable line raises.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
-        # (size to cut the file to, text to write first) before the next append
-        self._repair: tuple[int, str] | None = None
+        self._fd: int | None = None
+        # (size seen at load, size to cut the file to, bytes to write first)
+        self._repair: tuple[int, int, bytes] | None = None
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
         line = "\n"
         with self.path.open() as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            size = os.fstat(fh.fileno()).st_size
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -105,12 +126,11 @@ class ChatCache:
                         ) from None
                     warnings.warn(f"{self.path}: skipping torn last line {number}",
                                   stacklevel=3)
-                    size = self.path.stat().st_size - len(line.encode(fh.encoding))
-                    self._repair = (size, "")
+                    self._repair = (size, size - len(line.encode(fh.encoding)), b"")
                     return
                 self._records[rec["key"]] = rec
         if not line.endswith("\n"):
-            self._repair = (self.path.stat().st_size, "\n")
+            self._repair = (size, size, b"\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -119,18 +139,30 @@ class ChatCache:
         return self._records.get(key)
 
     def put(self, record: dict) -> None:
+        data = (json.dumps(record) + "\n").encode()
         with self._lock:
             if record["key"] in self._records:
                 return
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                weakref.finalize(self, os.close, self._fd)
+            fcntl.flock(self._fd, fcntl.LOCK_EX)
+            try:
+                if self._repair is not None:
+                    seen, cut, prefix = self._repair
+                    if os.fstat(self._fd).st_size == seen:
+                        os.ftruncate(self._fd, cut)
+                        data = prefix + data
+                written = os.write(self._fd, data)
+                if written != len(data):
+                    end = os.lseek(self._fd, 0, os.SEEK_END)
+                    os.ftruncate(self._fd, end - written)
+                    raise OSError(f"{self.path}: short write ({written} of {len(data)} bytes)")
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
+            self._repair = None
             self._records[record["key"]] = record
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            prefix = ""
-            if self._repair is not None:
-                size, prefix = self._repair
-                os.truncate(self.path, size)
-                self._repair = None
-            with self.path.open("a") as fh:
-                fh.write(prefix + json.dumps(record) + "\n")
 
 
 class MockChatClient:
@@ -183,33 +215,33 @@ def _default_mock_reply(prompt: str) -> str:
 
 
 class ReplayChatClient:
-    """Serves responses recorded in a cache file; never goes to the network."""
+    """Serves responses recorded in a chat cache file; never goes to the network.
+
+    The file is read through a ``ChatCache``, so a torn last line is skipped
+    with a warning; the client never writes to it.
+    """
 
     def __init__(self, cache_path: Path | str):
-        self._responses: dict[str, str] = {}
         path = Path(cache_path)
         if not path.exists():
             raise FileNotFoundError(f"replay cache not found: {path}")
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    self._responses[rec["key"]] = rec["response"]
+        self._cache = ChatCache(path)
 
     def complete(self, model: str, messages: list[dict], *,
                  temperature: float = 0.0, max_tokens: int = 512) -> str:
-        key = chat_key(model, messages[-1]["content"])
-        if key not in self._responses:
+        hit = self._cache.get(chat_key(model, messages[-1]["content"]))
+        if hit is None:
             raise RuntimeError("no cached response for prompt in replay mode")
-        return self._responses[key]
+        return hit["response"]
 
 
 class HttpChatClient:
     """OpenAI-compatible /chat/completions client with retry and backoff.
 
-    Transport errors and 5xx responses are retried up to three times with
-    1s/2s/4s waits; 4xx responses fail immediately.
+    Transport errors, 5xx responses and 429 rate limits are retried up to
+    three times with 1s/2s/4s waits; a 429 whose ``Retry-After`` header is a
+    number of seconds waits that long instead. Other 4xx responses fail
+    immediately.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
@@ -230,10 +262,14 @@ class HttpChatClient:
     def _post(self, route: str, body: dict) -> dict:
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
+            delay = None
             try:
                 resp = requests.post(f"{self.base_url}{route}", json=body,
                                      headers=self._headers(), timeout=self.timeout)
-                if resp.status_code >= 500:
+                if resp.status_code == 429:
+                    last_error = RuntimeError("rate limited (429)")
+                    delay = _retry_after_seconds(resp)
+                elif resp.status_code >= 500:
                     last_error = RuntimeError(f"server error {resp.status_code}")
                 elif resp.status_code >= 400:
                     raise RuntimeError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
@@ -242,7 +278,7 @@ class HttpChatClient:
             except requests.RequestException as exc:
                 last_error = exc
             if attempt + 1 < self.max_attempts:
-                time.sleep(2 ** attempt)
+                time.sleep(2 ** attempt if delay is None else delay)
         raise RuntimeError(f"chat endpoint unreachable after {self.max_attempts} attempts") \
             from last_error
 
@@ -257,6 +293,28 @@ class HttpChatClient:
         return data["choices"][0]["message"]["content"]
 
 
+def _retry_after_seconds(resp) -> float | None:
+    """A ``Retry-After`` header given in seconds; None when absent or a date."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
+
+
+def _chat_record(key: str, model: str, prompt: str, response: str, *,
+                 node_id: int | None, parsed: str) -> dict:
+    return {
+        "key": key,
+        "node_id": node_id,
+        "prompt": prompt,
+        "response": response,
+        "parsed": parsed,
+        "model": model,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+
+
 def _cached_complete(client, cache: ChatCache | None, model: str, prompt: str, *,
                      node_id: int | None, temperature: float, max_tokens: int,
                      parse_tag=None) -> str:
@@ -268,15 +326,8 @@ def _cached_complete(client, cache: ChatCache | None, model: str, prompt: str, *
     response = client.complete(model, [{"role": "user", "content": prompt}],
                                temperature=temperature, max_tokens=max_tokens)
     if cache is not None:
-        cache.put({
-            "key": key,
-            "node_id": node_id,
-            "prompt": prompt,
-            "response": response,
-            "parsed": parse_tag(response) if parse_tag else "",
-            "model": model,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        })
+        cache.put(_chat_record(key, model, prompt, response, node_id=node_id,
+                               parsed=parse_tag(response) if parse_tag else ""))
     return response
 
 
@@ -350,6 +401,50 @@ def annotation_pool(graph: TextAttributedGraph, split) -> np.ndarray:
     return np.setdiff1d(np.arange(graph.node_count), split.evaluation_nodes())
 
 
+def _complete_misses(client, model: str, misses: list[tuple[int, str, str]],
+                     on_response, *, workers: int) -> None:
+    """Run the chat call of each ``(index, key, prompt)`` miss on worker threads.
+
+    At most ``8 × workers`` calls are in flight: one new call is submitted
+    as each one completes. ``on_response(miss, response)`` runs in the
+    calling thread, in completion order. If a call raises, the calls not yet
+    started are cancelled, the running ones are waited for and their
+    responses passed on, and then the first error is raised.
+    """
+    todo = iter(misses)
+    pending: dict = {}
+    error: Exception | None = None
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        def submit(miss: tuple[int, str, str]) -> None:
+            messages = [{"role": "user", "content": miss[2]}]
+            pending[executor.submit(client.complete, model, messages,
+                                    temperature=IDENTIFY_TEMPERATURE,
+                                    max_tokens=IDENTIFY_MAX_TOKENS)] = miss
+
+        try:
+            for miss in itertools.islice(todo, 8 * workers):
+                submit(miss)
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                # failures first: no success in the same batch may submit a call
+                failures = [f.exception() for f in done if f.exception() is not None]
+                if failures and error is None:
+                    error = failures[0]
+                    for queued in [f for f in pending if f.cancel()]:
+                        del pending[queued]
+                for fut in done:
+                    miss = pending.pop(fut)
+                    if fut.exception() is None:
+                        on_response(miss, fut.result())
+                        if error is None and (miss := next(todo, None)) is not None:
+                            submit(miss)
+        finally:
+            for fut in pending:
+                fut.cancel()
+    if error is not None:
+        raise error
+
+
 def identify_pseudo_ood(
     graph: TextAttributedGraph,
     manifest,
@@ -365,9 +460,15 @@ def identify_pseudo_ood(
 ) -> tuple[PseudoOodSet, list[LlmAnnotation]]:
     """Sample unlabeled nodes, annotate them, keep the ones marked OOD.
 
-    Responses are fetched cache-first and written through, so repeated runs
-    over the same cache are deterministic. Annotations come back in node-id
-    order regardless of request completion order.
+    The calling thread builds every prompt and its key and looks it up in the
+    cache, so hits never reach a worker thread. Only the chat calls for the
+    misses run on ``concurrency`` threads, with at most ``8 × concurrency``
+    in flight. The caller parses each response once and appends each miss's
+    record as its call completes, so records land in completion order, each
+    with one ``os.write`` under ``flock``. If a call raises, the calls not yet
+    started are cancelled, the responses of calls already running are still
+    written, and the error is re-raised. Repeated runs over the same cache
+    are deterministic, and annotations come back in node-id order.
     """
     pool = annotation_pool(graph, split)
     if len(pool) < sample_size:
@@ -378,25 +479,35 @@ def identify_pseudo_ood(
     sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
 
     id_names = [manifest.category_names[c] for c in class_split.id_classes]
+    annotations: list[LlmAnnotation] = [None] * len(sample)
 
-    def parse_tag(response: str) -> str:
+    def annotate(i: int, response: str) -> LlmAnnotation:
         kind, idx = parse_identification_response(response, id_names)
-        return f"id:{id_names[idx]}" if kind == PARSED_ID else kind
+        annotations[i] = LlmAnnotation(node_id=int(sample[i]), raw_response=response,
+                                       parsed=kind, category_index=idx)
+        return annotations[i]
 
-    def annotate(node_id: int) -> LlmAnnotation:
+    misses = []
+    for i, node_id in enumerate(sample):
         prompt = build_identification_prompt(graph.texts[node_id], id_names,
                                              manifest.object_kind)
-        response = _cached_complete(
-            client, cache, model, prompt, node_id=int(node_id),
-            temperature=IDENTIFY_TEMPERATURE, max_tokens=IDENTIFY_MAX_TOKENS,
-            parse_tag=parse_tag,
-        )
-        kind, idx = parse_identification_response(response, id_names)
-        return LlmAnnotation(node_id=int(node_id), raw_response=response,
-                             parsed=kind, category_index=idx)
+        key = chat_key(model, prompt)
+        hit = None if cache is None else cache.get(key)
+        if hit is None:
+            misses.append((i, key, prompt))
+        else:
+            annotate(i, hit["response"])
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool_exec:
-        annotations = list(pool_exec.map(annotate, sample))
+    def record(miss: tuple[int, str, str], response: str) -> None:
+        i, key, prompt = miss
+        ann = annotate(i, response)
+        if cache is not None:
+            tag = (f"id:{id_names[ann.category_index]}" if ann.parsed == PARSED_ID
+                   else ann.parsed)
+            cache.put(_chat_record(key, model, prompt, response,
+                                   node_id=ann.node_id, parsed=tag))
+
+    _complete_misses(client, model, misses, record, workers=max(1, concurrency))
 
     if all(a.parsed == PARSED_UNPARSEABLE for a in annotations):
         raise RuntimeError("all annotations unparseable; model or parser failure")

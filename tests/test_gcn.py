@@ -1,5 +1,7 @@
 """Forward/backward correctness, Adam, dropout scaling, and the train loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -219,6 +221,20 @@ class TestReceptiveField:
         if dropout:
             assert np.array_equal(part.drop_mask_input, full.drop_mask_input[inp])
             assert np.array_equal(part.drop_mask_hidden, full.drop_mask_hidden[mid])
+
+    def test_field_holding_every_node_reads_features_in_place(self):
+        _, X, A, _ = build_random_graph(seed=0, n=20, edge_prob=0.2)
+        p = init_params(X.shape[1], 5, 2, seed=0)
+        field = receptive_field(A, self.TARGETS)
+        out, mid, inp = field.rows
+        assert inp == slice(None)
+        every = np.arange(A.shape[0])
+        listed = dataclasses.replace(field, rows=(out, mid, every),
+                                     layer1=A[mid][:, every], layer1_t=A[every][:, mid])
+
+        trace = forward(p, field, X)
+        assert np.shares_memory(trace.dropped_input, X)
+        assert np.array_equal(trace.logits, forward(p, listed, X).logits)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_energy_prop_scores_match_full_graph(self, seed):

@@ -1,15 +1,22 @@
 """Prompts, response parsing, caches, identification/generation, augmentation."""
 
 import json
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+import requests
 
 from goe.graph import make_class_split, sample_data_split
 from goe.llm import (
+    DEFAULT_MODEL,
     ChatCache,
     GeneratedNode,
     HashEmbeddingProvider,
+    HttpChatClient,
     MockChatClient,
     PrecomputedEmbeddingProvider,
     PseudoOodSet,
@@ -244,6 +251,82 @@ class TestChatCache:
         with pytest.raises(RuntimeError, match="no cached response"):
             client.complete("m", [{"role": "user", "content": "missing"}])
 
+    def test_replay_client_skips_a_torn_last_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = [json.dumps(self._record(p)) + "\n" for p in ("a", "b", "c")]
+        path.write_text(lines[0] + lines[1] + lines[2][:25])
+        with pytest.warns(UserWarning, match="torn last line 3"):
+            client = ReplayChatClient(path)
+        for prompt in ("a", "b"):
+            reply = client.complete("m", [{"role": "user", "content": prompt}])
+            assert reply == f"reply to {prompt}"
+        with pytest.raises(RuntimeError, match="no cached response"):
+            client.complete("m", [{"role": "user", "content": "c"}])
+        assert path.read_text() == lines[0] + lines[1] + lines[2][:25]
+
+    def test_two_writers_on_one_path_keep_every_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        writers = [ChatCache(path), ChatCache(path)]
+
+        def put_many(cache, name):
+            for i in range(500):
+                cache.put(self._record(f"{name} {i} " + "x" * 2000))
+
+        threads = [threading.Thread(target=put_many, args=(cache, name))
+                   for cache, name in zip(writers, "ab")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = ChatCache(path)
+        assert len(reloaded) == 1000
+        assert len(path.read_text().splitlines()) == 1000
+
+    @pytest.mark.parametrize("tail", ["torn", "unterminated"])
+    def test_pending_repair_keeps_another_writers_records(self, tmp_path, tail):
+        path = tmp_path / "cache.jsonl"
+        lines = [json.dumps(self._record(p)) + "\n" for p in ("a", "b", "c")]
+        if tail == "torn":
+            path.write_text(lines[0] + lines[1] + lines[2][:25])
+            kept = 2
+        else:
+            path.write_text(lines[0] + lines[1] + lines[2].rstrip("\n"))
+            kept = 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a, b = ChatCache(path), ChatCache(path)
+        b.put(self._record("from b"))
+        a.put(self._record("from a"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = ChatCache(path)
+        assert len(reloaded) == kept + 2
+        for prompt in ("a", "b", "from a", "from b"):
+            assert reloaded.get(chat_key("m", prompt)) is not None
+
+    def test_short_write_is_cut_back_and_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = ChatCache(path)
+        cache.put(self._record("a"))
+        before = path.read_bytes()
+        real_write = os.write
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", lambda fd, data: real_write(fd, data[:10]))
+            with pytest.raises(OSError, match="short write"):
+                cache.put(self._record("b"))
+        assert path.read_bytes() == before
+        assert cache.get(chat_key("m", "b")) is None
+        cache.put(self._record("b"))
+        assert len(ChatCache(path)) == 2
+
 
 class TestIdentify:
     def test_always_none_mock_flags_everything(self, planted_setup, tmp_path):
@@ -309,6 +392,38 @@ class TestIdentify:
             concurrency=4)
         assert np.array_equal(serial.node_ids, parallel.node_ids)
 
+    def test_failing_call_stops_the_pass_and_keeps_earlier_responses(
+            self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        workers, failing_call = 2, 10
+        lock = threading.Lock()
+        calls, returned, failed = [], [], threading.Event()
+        mock = MockChatClient()
+
+        class FlakyClient:
+            def complete(self, model, messages, **kwargs):
+                with lock:
+                    calls.append(messages[-1]["content"])
+                    number = len(calls)
+                if number == failing_call:
+                    failed.set()
+                    raise ConnectionError(f"call {number} failed")
+                response = mock.complete(model, messages, **kwargs)
+                with lock:
+                    if not failed.is_set():
+                        returned.append(messages[-1]["content"])
+                return response
+
+        cache_path = tmp_path / "c.jsonl"
+        with pytest.raises(ConnectionError, match="call 10 failed"):
+            identify_pseudo_ood(graph, manifest, class_split, split, client=FlakyClient(),
+                                cache=ChatCache(cache_path), sample_size=80, seed=0,
+                                concurrency=workers)
+        assert len(calls) <= failing_call + 8 * workers
+        reloaded = ChatCache(cache_path)
+        for prompt in returned:
+            assert reloaded.get(chat_key(DEFAULT_MODEL, prompt)) is not None
+
     def test_mock_identifier_is_accurate_on_planted_graph(self, planted_setup, tmp_path):
         graph, manifest, class_split, split = planted_setup
         pseudo, annotations = identify_pseudo_ood(
@@ -332,6 +447,59 @@ class TestIdentify:
             identify_pseudo_ood(graph, manifest, class_split, split,
                                 client=gibberish, cache=None,
                                 sample_size=20, seed=0)
+
+
+class TestHttpChatClient:
+    class Reply:
+        def __init__(self, status_code, headers=None):
+            self.status_code = status_code
+            self.headers = headers or {}
+            self.text = "body"
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+    def client(self, monkeypatch, statuses):
+        posts, sleeps = [], []
+        replies = iter(statuses)
+
+        def post(url, **kwargs):
+            posts.append(url)
+            return next(replies)
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("goe.llm.time.sleep", sleeps.append)
+        return HttpChatClient(base_url="http://chat.invalid"), posts, sleeps
+
+    def complete(self, client):
+        return client.complete("m", [{"role": "user", "content": "hi"}])
+
+    @pytest.mark.parametrize("retry_after, waited", [
+        ("7", 7.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1),
+        (None, 1),
+    ], ids=["seconds", "http-date", "absent"])
+    def test_rate_limit_is_retried(self, monkeypatch, retry_after, waited):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        client, posts, sleeps = self.client(
+            monkeypatch, [self.Reply(429, headers), self.Reply(200)])
+        assert self.complete(client) == "ok"
+        assert len(posts) == 2
+        assert sleeps == [waited]
+
+    def test_client_error_fails_after_one_call(self, monkeypatch):
+        client, posts, sleeps = self.client(monkeypatch, [self.Reply(400), self.Reply(200)])
+        with pytest.raises(RuntimeError, match="rejected \\(400\\)"):
+            self.complete(client)
+        assert len(posts) == 1
+        assert sleeps == []
+
+    def test_persistent_server_error_raises_after_max_attempts(self, monkeypatch):
+        client, posts, sleeps = self.client(monkeypatch, [self.Reply(503)] * 10)
+        with pytest.raises(RuntimeError, match="after 4 attempts"):
+            self.complete(client)
+        assert len(posts) == client.max_attempts == 4
+        assert sleeps == [1, 2, 4]
 
 
 def test_annotation_accuracy_hand_case():
