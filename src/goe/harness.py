@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,6 +204,22 @@ def _split_total(total: int, buckets: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(buckets)]
 
 
+def _check_generated_file(nodes: list[llm.GeneratedNode], ood_names: list[str],
+                          per_class: int, path: Path) -> None:
+    """A generated.jsonl stands in for this run's generation, so it must fit it.
+
+    Every category must be one of the run's OOD categories, with at most
+    ``llm.per_class`` nodes. Fewer is a generation shortfall and is allowed.
+    """
+    for category, count in Counter(node.category for node in nodes).items():
+        if category not in ood_names:
+            raise ValueError(f"{path}: category {category!r} is not an OOD category "
+                             f"of this run ({', '.join(map(repr, ood_names))})")
+        if count > per_class:
+            raise ValueError(f"{path}: {count} nodes for category {category!r}, "
+                             f"more than llm.per_class = {per_class}")
+
+
 def build_pseudo_supervision(
     graph: TextAttributedGraph,
     manifest,
@@ -244,6 +261,7 @@ def build_pseudo_supervision(
         generated_file = Path(config.dataset_dir) / "generated.jsonl"
         if total_generated is None and generated_file.exists():
             nodes = llm.load_generated(generated_file)
+            _check_generated_file(nodes, ood_names, config.llm.per_class, generated_file)
         else:
             if total_generated is not None:
                 quotas = _split_total(total_generated, len(ood_names))

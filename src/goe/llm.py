@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .graph import STREAM_ANNOTATION_POOL, TextAttributedGraph, stream_rng
+from .graph import STREAM_ANNOTATION_POOL, TextAttributedGraph, stream_rng, unique_edges
 
 DEFAULT_MODEL = "gpt-4o-mini"
 IDENTIFY_TEMPERATURE = 0.0
@@ -831,6 +831,21 @@ class AugmentedGraph:
     generated_ids: np.ndarray
 
 
+def _top_k_lowest_id(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k highest scores, ties broken by lower index, in no particular order.
+
+    The same set as ``np.argsort(-scores, kind="stable")[:k]``, from one
+    partition instead of a full sort: every index scoring above the k-th
+    highest score, then the lowest indices that tie with it.
+    """
+    if k == 0:
+        return np.zeros(0, dtype=np.int64)
+    neg = -scores
+    kth = np.partition(neg, k - 1)[k - 1]
+    above = np.flatnonzero(neg < kth)
+    return np.concatenate([above, np.flatnonzero(neg == kth)[:k - above.size]])
+
+
 def augment_graph(
     graph: TextAttributedGraph,
     generated: list[GeneratedNode],
@@ -861,22 +876,22 @@ def augment_graph(
     if edge_mode == "none":
         edges = graph.edges.copy()
     elif edge_mode == "knn":
-        if knn_k >= n:
-            raise ValueError("knn_k must be smaller than the original node count")
+        if not 0 <= knn_k < n:
+            raise ValueError("knn_k must be non-negative and smaller than the original node count")
         base = graph.embeddings.astype(np.float64)
         base_norm = np.linalg.norm(base, axis=1)
         base_norm[base_norm == 0] = 1.0
-        extra = []
-        for offset, node in enumerate(generated):
+        targets = []
+        for node in generated:
             v = np.asarray(node.embedding, dtype=np.float64)
             v_norm = np.linalg.norm(v) or 1.0
             sims = (base @ v) / (base_norm * v_norm)
-            order = np.argsort(-sims, kind="mergesort")[:knn_k]
-            for target in order:
-                extra.append((int(target), n + offset))
-        edges = np.unique(
-            np.vstack([graph.edges.reshape(-1, 2), np.array(extra, dtype=np.int64)]),
-            axis=0,
+            targets.append(_top_k_lowest_id(sims, knn_k))
+        edges = graph.edges.reshape(-1, 2)
+        edges = unique_edges(
+            np.concatenate([edges[:, 0], *targets]),
+            np.concatenate([edges[:, 1], np.repeat(np.arange(n, n + m), knn_k)]),
+            n + m,
         )
     else:
         raise ValueError(f"unknown edge_mode {edge_mode!r}")

@@ -3,10 +3,16 @@
 import hashlib
 import json
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goe import graph as graph_module
 from goe.graph import (
     DatasetManifest,
     TextAttributedGraph,
@@ -113,6 +119,254 @@ def test_planted_graph_seed_0_is_pinned(planted):
         "298179e3bf74b4faeb7aef5820646a0d68de85b0530fcb1c2e34cf85a2d3ff66")
     assert digest("\n".join(graph.texts).encode("utf-8")) == (
         "0fc9cd8e9155072cf518227b6e19058eb1280da186ca60bb9d13cb189869302b")
+
+
+def test_save_dataset_bytes_are_pinned(planted, tmp_path):
+    """The written text files are what the per-record json.dumps writer wrote."""
+    graph, manifest = planted
+    save_dataset(graph, manifest, tmp_path)
+
+    def digest(name: str) -> str:
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert digest("nodes.jsonl") == (
+        "ea4018ab140026cd276057bdb983dc3f5067c155d17f105a4b7909d11e884873")
+    assert digest("edges.tsv") == (
+        "30bf747c2866db45286b4b400075d4a15219cab324748378d86c7407ff6ecf89")
+
+
+# ---------------------------------------------------------------------------
+# Loader properties
+# ---------------------------------------------------------------------------
+
+# Quotes, backslashes, newlines, braces, non-ASCII and astral characters.
+_TEXTS = st.text(st.sampled_from('ab "\\\n\t{}[]é€😀\u2028') | st.characters(), max_size=12)
+
+
+@st.composite
+def _small_graphs(draw, min_nodes=0):
+    n = draw(st.integers(min_nodes, 8))
+    num_classes = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=n * dim, max_size=n * dim))
+    graph = TextAttributedGraph(
+        node_count=n,
+        edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+        texts=draw(st.lists(_TEXTS, min_size=n, max_size=n)),
+        embeddings=np.array(values, dtype=np.float32).reshape(n, dim),
+        labels=np.array(draw(st.lists(st.integers(-1, num_classes - 1),
+                                      min_size=n, max_size=n)), dtype=np.int64),
+    )
+    manifest = DatasetManifest(name="h", object_kind="paper",
+                               category_names=[f"c{i}" for i in range(num_classes)],
+                               embedding_dim=dim, node_count=n)
+    return graph, manifest
+
+
+# 1 byte parses nodes.jsonl one line per block; the default takes it whole.
+_BLOCK_SIZES = st.sampled_from([1, 64, graph_module._NODE_BLOCK_BYTES])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=_small_graphs(), block_bytes=_BLOCK_SIZES)
+def test_save_load_round_trips_random_graphs(sample, block_bytes):
+    graph, manifest = sample
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(graph_module, "_NODE_BLOCK_BYTES", block_bytes):
+        save_dataset(graph, manifest, d)
+        assert Path(d, "nodes.jsonl").read_text() == "".join(
+            json.dumps({"id": i, "text": graph.texts[i], "label": int(graph.labels[i])}) + "\n"
+            for i in range(graph.node_count))
+        assert Path(d, "edges.tsv").read_text() == "".join(
+            f"{i}\t{j}\n" for i, j in graph.edges.tolist())
+        loaded, loaded_manifest = load_dataset(d)
+    assert loaded.texts == graph.texts
+    assert loaded.labels.tolist() == graph.labels.tolist()
+    assert loaded.edges.tolist() == graph.edges.tolist()
+    assert loaded.embeddings.tobytes() == graph.embeddings.tobytes()
+    assert loaded_manifest == manifest
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonicalize_matches_set_oracle(data):
+    n = data.draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                               max_size=30))
+    # reversed copies and repeats of drawn pairs
+    pairs += [(b, a) for a, b in data.draw(st.lists(st.sampled_from(pairs)))] if pairs else []
+    pairs += data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    oracle = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    edges = canonicalize_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
+    assert edges.dtype == np.int64 and edges.shape == (len(oracle), 2)
+    assert [tuple(e) for e in edges.tolist()] == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_validate_finds_duplicates_in_any_order(data):
+    n = data.draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20))
+    if data.draw(st.booleans()):
+        edges = sorted(set(edges))
+    graph = TextAttributedGraph(
+        node_count=n, edges=np.array(edges, dtype=np.int64), texts=["t"] * n,
+        embeddings=np.zeros((n, 1), dtype=np.float32), labels=np.zeros(n, dtype=np.int64))
+    if len(set(edges)) < len(edges):
+        with pytest.raises(ValueError, match="duplicate undirected edge"):
+            graph.validate()
+    else:
+        graph.validate()
+
+
+def _insert_line(path: Path, data, line: str) -> int:
+    """Insert a line and a blank line at drawn positions; return the line's number."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(data.draw(st.integers(0, len(lines))), line)
+    lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["\n", " \t\n"])))
+    path.write_text("".join(lines))
+    return lines.index(line) + 1
+
+
+def _edit_node(path: Path, index: int, edit) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = edit(lines[index])
+    path.write_text("".join(lines))
+
+
+def _set_field(key, value):
+    return lambda line: json.dumps({**json.loads(line), key: value}) + "\n"
+
+
+def _truncated_embeddings(d: Path, data, n, classes) -> str:
+    path = d / "embeddings.bin"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    return r"^embeddings\.bin: (truncated header|expected \d+ bytes, found \d+)$"
+
+
+def _three_column_edge(d: Path, data, n, classes) -> str:
+    number = _insert_line(d / "edges.tsv", data, "0\t1\t2\n")
+    return rf"^edges\.tsv line {number}: malformed edge line: '0\\t1\\t2'$"
+
+
+def _non_integer_edge(d: Path, data, n, classes) -> str:
+    token = data.draw(st.sampled_from(["x", "1.5", "1_0", "0x1", "1e3", "#1", "١"]))
+    number = _insert_line(d / "edges.tsv", data, f"0\t{token}\n")
+    return rf"^edges\.tsv line {number}: non-integer edge token '{token}'$"
+
+
+def _edge_out_of_range(d: Path, data, n, classes) -> str:
+    bad = data.draw(st.sampled_from([n, n + 7, -1, 2 ** 63 - 1, 2 ** 64]))
+    number = _insert_line(d / "edges.tsv", data, f"0 {bad}\n")
+    return rf"^edges\.tsv line {number}: edge index out of range$"
+
+
+def _self_loop(d: Path, data, n, classes) -> str:
+    node = data.draw(st.integers(0, n - 1))
+    number = _insert_line(d / "edges.tsv", data, f"{node} {node}\n")
+    return rf"^edges\.tsv line {number}: self-loop in edge list$"
+
+
+def _duplicate_id(d: Path, data, n, classes) -> str:
+    later = data.draw(st.integers(1, n - 1))
+    earlier = data.draw(st.integers(0, later - 1))
+    _edit_node(d / "nodes.jsonl", later, _set_field("id", earlier))
+    return rf"^duplicate node id {earlier}$"
+
+
+def _missing_id(d: Path, data, n, classes) -> str:
+    path = d / "nodes.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    del lines[data.draw(st.integers(0, n - 2))]
+    path.write_text("".join(lines))
+    return r"^node ids must be exactly 0\.\.n-1$"
+
+
+def _label_out_of_range(d: Path, data, n, classes) -> str:
+    label = data.draw(st.sampled_from([classes, classes + 3, -2, 2 ** 70]))
+    _edit_node(d / "nodes.jsonl", data.draw(st.integers(0, n - 1)), _set_field("label", label))
+    return r"^label out of range for manifest category_names$"
+
+
+def _bad_json_line(d: Path, data, n, classes) -> str:
+    index = data.draw(st.integers(0, n - 1))
+    cut = data.draw(st.integers(1, 20))
+    _edit_node(d / "nodes.jsonl", index, lambda line: line.rstrip("\n")[:cut] + "\n")
+    return rf"^nodes\.jsonl line {index + 1}: invalid JSON \(.+ at column \d+\)$"
+
+
+_DEFECTS = [_truncated_embeddings, _three_column_edge, _non_integer_edge, _edge_out_of_range,
+            _self_loop, _duplicate_id, _missing_id, _label_out_of_range, _bad_json_line]
+
+
+@pytest.mark.parametrize("defect", _DEFECTS, ids=[f.__name__[1:] for f in _DEFECTS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_dataset_raises_a_one_line_error_naming_the_defect(defect, data):
+    graph, manifest = data.draw(_small_graphs(min_nodes=3))
+    block_bytes = data.draw(_BLOCK_SIZES)
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(graph_module, "_NODE_BLOCK_BYTES", block_bytes):
+        save_dataset(graph, manifest, d)
+        expected = defect(Path(d), data, graph.node_count, len(manifest.category_names))
+        with pytest.raises(ValueError, match=expected):
+            load_dataset(d)
+
+
+def test_records_sharing_or_spanning_lines_are_rejected(tmp_path):
+    # As one JSON array these three lines parse to three valid records; read
+    # line by line, the first holds two values.
+    emb = np.zeros((3, 2), dtype=np.float32)
+    _write_dataset(tmp_path, ["a", "b", "c"], [0, 1, 0], [(0, 1)], emb)
+    (tmp_path / "nodes.jsonl").write_text(
+        '{"id": 0, "text": "a", "label": 0}, {"id": 1, "text": "b", "label": 1}\n'
+        '{"id": 2, "text": "c"\n'
+        '"label": 0}\n')
+    with pytest.raises(ValueError, match="^nodes.jsonl line 1: invalid JSON"):
+        load_dataset(tmp_path)
+
+
+def test_consistent_three_column_edge_file_is_rejected(tmp_path):
+    emb = np.zeros((3, 2), dtype=np.float32)
+    _write_dataset(tmp_path, ["a", "b", "c"], [0, 1, 0], [], emb)
+    (tmp_path / "edges.tsv").write_text("0 1 2\n1 2 0\n")
+    with pytest.raises(ValueError, match="^edges.tsv line 1: malformed edge line: '0 1 2'$"):
+        load_dataset(tmp_path)
+
+
+def test_first_repeated_id_in_file_order_is_named(tmp_path):
+    emb = np.zeros((5, 2), dtype=np.float32)
+    _write_dataset(tmp_path, list("abcde"), [0, 1, 0, 1, 0], [(0, 1)], emb)
+    lines = (tmp_path / "nodes.jsonl").read_text().splitlines(keepends=True)
+    ids = [2, 0, 1, 0, 2]
+    (tmp_path / "nodes.jsonl").write_text("".join(
+        json.dumps({**json.loads(line), "id": i}) + "\n" for line, i in zip(lines, ids)))
+    with pytest.raises(ValueError, match="^duplicate node id 0$"):
+        load_dataset(tmp_path)
+
+
+def test_bad_line_is_numbered_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_module, "_NODE_BLOCK_BYTES", 100)
+    n = 50
+    emb = np.zeros((n, 2), dtype=np.float32)
+    texts = [f"text {{{i}}}" if i % 7 == 0 else f"text {i}" for i in range(n)]
+    _write_dataset(tmp_path, texts, [i % 2 for i in range(n)], [(0, 1)], emb)
+    lines = (tmp_path / "nodes.jsonl").read_text().splitlines(keepends=True)
+    lines.insert(10, "\n")
+    lines[40] = '{"id": 39, "text": "t", "label": 1\n'
+    (tmp_path / "nodes.jsonl").write_text("".join(lines))
+    with pytest.raises(ValueError, match="^nodes.jsonl line 41: invalid JSON"):
+        load_dataset(tmp_path)
+    lines[40] = '{"id": 39, "text": "t", "label": 1}\n'
+    (tmp_path / "nodes.jsonl").write_text("".join(lines))
+    graph, _ = load_dataset(tmp_path)
+    assert graph.texts == texts[:39] + ["t"] + texts[40:]
 
 
 def test_canonicalize_rejects_self_loop():

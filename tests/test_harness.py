@@ -152,6 +152,37 @@ class TestRunSeed:
         assert len(outcome.scores) == graph.node_count + 10
         assert max(r["node_id"] for r in outcome.test_rows) < graph.node_count
 
+    def _with_generated_file(self, planted, tmp_path, categories):
+        graph, manifest = planted
+        directory = tmp_path / "data"
+        save_dataset(graph, manifest, directory)
+        (directory / "generated.jsonl").write_text("".join(
+            json.dumps({"category": c, "title": f"t{i}", "abstract": f"a{i}"}) + "\n"
+            for i, c in enumerate(categories)))
+        cfg = _config(directory, tmp_path / "out", method="goe_generator")
+        return graph, manifest, make_class_split(graph.labels, [0, 1]), cfg
+
+    def test_generated_file_with_a_foreign_category_is_rejected(self, planted, tmp_path):
+        id_category = planted[1].category_names[0]
+        graph, manifest, class_split, cfg = self._with_generated_file(
+            planted, tmp_path, [planted[1].category_names[2], id_category])
+        with pytest.raises(ValueError, match=f"category '{id_category}' is not an OOD "
+                                             "category of this run"):
+            run_seed(graph, manifest, class_split, cfg, seed=0)
+
+    def test_generated_file_over_per_class_is_rejected(self, planted, tmp_path):
+        graph, manifest, class_split, cfg = self._with_generated_file(
+            planted, tmp_path, [planted[1].category_names[2]] * 11)
+        with pytest.raises(ValueError, match="11 nodes for category .* more than "
+                                             "llm.per_class = 10"):
+            run_seed(graph, manifest, class_split, cfg, seed=0)
+
+    def test_generated_file_short_of_per_class_is_used(self, planted, tmp_path):
+        graph, manifest, class_split, cfg = self._with_generated_file(
+            planted, tmp_path, [planted[1].category_names[2]] * 3)
+        outcome = run_seed(graph, manifest, class_split, cfg, seed=0)
+        assert outcome.record["pseudo_count"] == 3
+
     def test_kplus1_scores_are_probabilities(self, dataset_dir, planted, tmp_path):
         graph, manifest = planted
         class_split = make_class_split(graph.labels, [0, 1])

@@ -9,8 +9,10 @@ import warnings
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goe.graph import make_class_split, sample_data_split
+from goe.graph import TextAttributedGraph, make_class_split, sample_data_split
 from goe.llm import (
     DEFAULT_MODEL,
     ChatCache,
@@ -37,6 +39,7 @@ from goe.llm import (
     save_generated,
     save_pseudo_set,
     text_key,
+    _top_k_lowest_id,
 )
 from goe.synthetic import PLANTED_CATEGORIES
 
@@ -623,6 +626,32 @@ class TestAugmentGraph:
             - set(map(tuple, graph.edges.tolist()))
         assert added == {(7, graph.node_count)}
 
+    def test_knn_edges_match_stable_argsort_reference(self):
+        # Rows drawn from 4 distinct vectors, so most similarities tie and the
+        # k-th place is usually shared: the lower id must win it.
+        rng = np.random.default_rng(11)
+        n, dim, k = 60, 5, 7
+        palette = rng.normal(size=(4, dim)).astype(np.float32)
+        embeddings = palette[rng.integers(0, 4, size=n)]
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(80, 2)) if p[0] != p[1]}
+        graph = TextAttributedGraph(
+            node_count=n, edges=np.array(sorted(pairs), dtype=np.int64),
+            texts=[f"n{i}" for i in range(n)], embeddings=embeddings,
+            labels=np.zeros(n, dtype=np.int64))
+        rows = np.vstack([palette.astype(np.float64), rng.normal(size=(3, dim)),
+                          np.zeros((1, dim))])
+        augmented, _ = augment_graph(graph, self._generated(graph, rows),
+                                     edge_mode="knn", knn_k=k)
+
+        base = embeddings.astype(np.float64)
+        base_norm = np.linalg.norm(base, axis=1)
+        extra = []
+        for offset, v in enumerate(rows):
+            sims = (base @ v) / (base_norm * (np.linalg.norm(v) or 1.0))
+            extra += [(int(t), n + offset) for t in np.argsort(-sims, kind="stable")[:k]]
+        reference = np.unique(np.vstack([graph.edges, np.array(extra)]), axis=0)
+        assert np.array_equal(augmented.graph.edges, reference)
+
     def test_knn_k_too_large_rejected(self, planted):
         graph, _ = planted
         nodes = self._generated(graph, [np.zeros(graph.embedding_dim)])
@@ -633,6 +662,16 @@ class TestAugmentGraph:
         graph, _ = planted
         with pytest.raises(ValueError, match="missing its embedding"):
             augment_graph(graph, [GeneratedNode("G", "t", "b")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+       data=st.data())
+def test_top_k_is_the_stable_argsort_prefix(scores, data):
+    scores = np.array(scores)
+    k = data.draw(st.integers(0, len(scores)))
+    chosen = _top_k_lowest_id(scores, k)
+    assert sorted(chosen.tolist()) == sorted(np.argsort(-scores, kind="stable")[:k].tolist())
 
 
 def test_pseudo_set_roundtrip(tmp_path):
