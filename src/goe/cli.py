@@ -47,6 +47,16 @@ def _client_settings(mock: bool, replay: str | None, remote: bool) -> tuple[str,
     return "mock", None
 
 
+def _chat(directory: Path, mock: bool, replay: str | None, remote: bool,
+          cache: str | None) -> tuple:
+    """The chat client the flags name and the chat cache (default in ``directory``)."""
+    client_kind, replay_path = _client_settings(mock, replay, remote)
+    config = harness.ExperimentConfig(   # only the dataset and the llm settings are read
+        dataset_dir=str(directory), id_classes=[], method="energy", output_dir=str(directory),
+        llm=harness.LlmSettings(client=client_kind, replay_path=replay_path, chat_cache=cache))
+    return harness.build_chat_client(config), llm.ChatCache(harness.default_cache_path(config))
+
+
 def _llm_options(fn):
     fn = click.option("--mock", is_flag=True, default=False,
                       help="Use the deterministic offline chat model (default).")(fn)
@@ -143,16 +153,7 @@ def annotate(directory: str, sample: int, id_classes: str | None, seed: int | No
     class_split = make_class_split(graph.labels, classes)
     seed = split.seed if seed is None else seed
 
-    client_kind, replay_path = _client_settings(mock, replay, remote)
-    config = harness.ExperimentConfig(
-        dataset_dir=str(directory), id_classes=classes, method="goe_identifier",
-        output_dir=str(directory),
-        llm=harness.LlmSettings(client=client_kind, replay_path=replay_path,
-                                model=model, chat_cache=cache,
-                                sample_size=sample, concurrency=concurrency),
-    )
-    client = harness.build_chat_client(config)
-    chat_cache = llm.ChatCache(harness.default_cache_path(config))
+    client, chat_cache = _chat(directory, mock, replay, remote, cache)
     pseudo, annotations = llm.identify_pseudo_ood(
         graph, manifest, class_split, split,
         client=client, cache=chat_cache, sample_size=sample, seed=seed,
@@ -180,15 +181,7 @@ def generate(directory: str, per_class: int, id_classes: str | None, mock: bool,
     class_split = make_class_split(graph.labels, classes)
     ood_names = [manifest.category_names[c] for c in class_split.ood_classes]
 
-    client_kind, replay_path = _client_settings(mock, replay, remote)
-    config = harness.ExperimentConfig(
-        dataset_dir=str(directory), id_classes=classes, method="goe_generator",
-        output_dir=str(directory),
-        llm=harness.LlmSettings(client=client_kind, replay_path=replay_path,
-                                model=model, chat_cache=cache),
-    )
-    client = harness.build_chat_client(config)
-    chat_cache = llm.ChatCache(harness.default_cache_path(config))
+    client, chat_cache = _chat(directory, mock, replay, remote, cache)
     nodes, warnings = llm.generate_pseudo_ood(
         ood_names, per_class=per_class, object_kind=manifest.object_kind,
         client=client, cache=chat_cache, model=model,

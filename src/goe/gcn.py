@@ -12,6 +12,11 @@ Each layer runs its sparse product on the narrower side of its weight:
 else ``(A_hat @ x) @ w``. The choice depends only on the shapes, so layer 2
 (h > k) always projects first and layer 1 projects first when d > h.
 
+An exposure-weight grid trains as one stack of G models: ``W1`` is
+``(d, G*h)`` and ``W2`` is block-diagonal ``(G*h, G*k)``. ``forward(...,
+blocks=G)`` tiles one block's hidden dropout mask and multiplies in one
+block's order, so the blocks share each epoch's masks. Each stops early alone.
+
 The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
 symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
 masks are kept as bool arrays and the inverted-dropout scale ``1/keep`` is
@@ -145,7 +150,10 @@ class ReceptiveField:
 
 def _grow(adjacency: sp.spmatrix, rows: np.ndarray) -> np.ndarray:
     """``rows`` and their neighbours, sorted."""
-    return np.union1d(rows, adjacency[rows].indices)
+    both = np.sort(np.concatenate([rows, adjacency[rows].indices]))
+    keep = np.ones(both.size, dtype=bool)
+    keep[1:] = both[1:] != both[:-1]
+    return both[keep]
 
 
 def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
@@ -170,20 +178,21 @@ def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
     )
 
 
-def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A_hat @ x @ w, with the sparse product on the narrower side of w."""
-    if w.shape[1] < w.shape[0]:
+def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray,
+               project: bool) -> np.ndarray:
+    """A_hat @ x @ w, as ``A_hat @ (x @ w)`` when ``project``, else ``(A_hat @ x) @ w``."""
+    if project:
         return adjacency @ (x @ w)
     return (adjacency @ x) @ w
 
 
 def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
             features: np.ndarray, *, training: bool = False, dropout: float = 0.0,
-            rng: np.random.Generator | None = None) -> ForwardTrace:
+            rng: np.random.Generator | None = None, blocks: int = 1) -> ForwardTrace:
     """Forward pass on a field, or on the whole graph for a plain adjacency.
 
     ``features`` always holds every node; eval mode is deterministic and
-    dropout-free.
+    dropout-free. ``blocks`` is the number of models stacked in ``params``.
     """
     if features.shape[1] != params.input_dim:
         raise ValueError(
@@ -197,6 +206,7 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
     _, mid, inp = field.rows
     keep = 1.0 - dropout
     scale = 1.0 / keep if use_dropout else 1.0
+    width, out_dim = params.hidden_dim // blocks, params.output_dim // blocks
 
     mask_in = None
     if use_dropout:
@@ -205,17 +215,17 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
         x *= scale
     else:
         x = features[inp]
-    pre_act = _propagate(field.layer1, x, params.w1) + params.b1
+    pre_act = _propagate(field.layer1, x, params.w1, width < params.input_dim) + params.b1
     relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
 
     mask_h = None
     h = hidden
     if use_dropout:
-        mask_h = (rng.random((features.shape[0], params.hidden_dim)) < keep)[mid]
+        mask_h = np.tile((rng.random((features.shape[0], width)) < keep)[mid], blocks)
         h = hidden * mask_h
         h *= scale
-    logits = _propagate(field.layer2, h, params.w2) + params.b2
+    logits = _propagate(field.layer2, h, params.w2, out_dim < width) + params.b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
 
@@ -359,22 +369,11 @@ class TrainConfig:
             raise ValueError("margin_ood must exceed margin_id")
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "learning_rate": self.learning_rate,
-            "dropout": self.dropout,
-            "weight_decay": self.weight_decay,
-            "exposure_weight": self.exposure_weight,
-            "margin_id": self.margin_id,
-            "margin_ood": self.margin_ood,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**{k: data[k] for k in cls().to_dict() if k in data})
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
 
 
 @dataclass
@@ -385,20 +384,28 @@ class TrainResult:
     best_val_score: float
 
 
+def _take_blocks(tensors: dict, blocks: np.ndarray, hidden: int, out: int) -> dict:
+    """Copies of the stacked ``tensors`` restricted to the models at ``blocks``."""
+    rows = (blocks[:, None] * hidden + np.arange(hidden)).ravel()
+    cols = (blocks[:, None] * out + np.arange(out)).ravel()
+    return {"w1": tensors["w1"][:, rows], "b1": tensors["b1"][rows],
+            "w2": tensors["w2"][np.ix_(rows, cols)], "b2": tensors["b2"][cols]}
+
+
 def train_classifier(
     features: np.ndarray,
     adjacency: sp.spmatrix,
     labels: np.ndarray,
     split,
     config: TrainConfig,
-    spec: ObjectiveSpec,
+    spec: ObjectiveSpec | list[ObjectiveSpec],
     *,
     output_dim: int,
     id_class_count: int,
     row_stochastic: sp.spmatrix | None = None,
     prop_alpha: float = 0.5,
     prop_iterations: int = 2,
-) -> TrainResult:
+) -> TrainResult | list[TrainResult]:
     """Full-batch training with early stopping on val accuracy + val AUROC.
 
     Every epoch trains on the receptive field of the nodes the loss reads
@@ -409,23 +416,40 @@ def train_classifier(
     two operators in ``graph`` do. Keeps the parameters of the best epoch
     (ties resolved to the earliest) and stops after ``config.patience``
     consecutive non-improving epochs.
+
+    A list of specs that differ only in ``exposure_weight`` trains as one
+    stacked model and returns one result per spec. The models start from the
+    same parameters and share each epoch's dropout masks, and ``W2``'s
+    off-diagonal blocks get no gradient, so each block is exactly the model
+    its spec would train alone. Each block stops early on its own and then
+    leaves the stack; the loop ends when the last one stops.
     """
     config.validate()
-    spec.validate()
+    specs = [spec] if isinstance(spec, ObjectiveSpec) else list(spec)
+    for s in specs:
+        s.validate()
+
+    def rest(s: ObjectiveSpec) -> ObjectiveSpec:   # all but the weight, comparable
+        ids = tuple(np.ravel(s.pseudo_ood_ids).tolist())
+        return dataclasses.replace(s, exposure_weight=0.0, pseudo_ood_ids=ids)
+
+    if not specs or any(rest(s) != rest(specs[0]) for s in specs[1:]):
+        raise ValueError("stacked specs must be non-empty and differ only in exposure_weight")
+    first = specs[0]
     train_ids = np.asarray(split.train_id)
     if train_ids.size == 0:
         raise ValueError("empty training set")
     labels = np.asarray(labels)
 
-    pseudo = spec.pseudo_ood_ids
+    pseudo = first.pseudo_ood_ids
     train_field = receptive_field(
         adjacency, train_ids if pseudo is None else np.concatenate([train_ids, pseudo]))
     train_labels = labels[train_field.rows[0]]
     local_train = train_field.local(train_ids)
-    train_spec = (spec if pseudo is None
-                  else dataclasses.replace(spec, pseudo_ood_ids=train_field.local(pseudo)))
+    if pseudo is not None:
+        specs = [dataclasses.replace(s, pseudo_ood_ids=train_field.local(pseudo)) for s in specs]
 
-    propagated = spec.val_scorer == "energy_prop"
+    propagated = first.val_scorer == "energy_prop"
     val_field = receptive_field(adjacency, np.concatenate([split.val_id, split.val_ood]),
                                 prop_iterations if propagated else 0)
     val_rows = val_field.rows[0]
@@ -434,55 +458,66 @@ def train_classifier(
     val_prop = (row_stochastic[val_rows][:, val_rows]
                 if propagated and row_stochastic is not None else None)
 
-    params = init_params(features.shape[1], config.hidden_dim, output_dim, config.seed)
+    hidden, out = config.hidden_dim, output_dim
+    single = init_params(features.shape[1], hidden, out, config.seed)
+    count = len(specs)
+    params = GcnParams(w1=np.tile(single.w1, count), b1=np.tile(single.b1, count),
+                       w2=np.kron(np.eye(count), single.w2), b2=np.tile(single.b2, count))
     state = init_adam(params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_STREAM_DROPOUT,)))
 
-    best_score = -np.inf
-    best_params = params.copy()
-    best_epoch = 0
-    bad_epochs = 0
-    history: list[dict] = []
+    results = [TrainResult(single.copy(), [], best_epoch=0, best_val_score=-np.inf) for _ in specs]
+    bad_epochs = [0] * count
+    active = list(range(count))  # the spec of each block in the stack
 
     for epoch in range(1, config.max_epochs + 1):
-        trace = forward(params, train_field, features,
-                        training=True, dropout=config.dropout, rng=rng)
-        loss, grad_logits = objective_loss(trace.logits, train_labels, local_train,
-                                           train_spec)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite loss at epoch {epoch} (objective {spec.kind})"
-            )
+        trace = forward(params, train_field, features, training=True,
+                        dropout=config.dropout, rng=rng, blocks=len(active))
+        grad_logits = np.empty_like(trace.logits)
+        losses = []
+        for pos, i in enumerate(active):
+            cols = slice(pos * out, (pos + 1) * out)
+            loss, grad_logits[:, cols] = objective_loss(trace.logits[:, cols], train_labels,
+                                                        local_train, specs[i])
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite loss at epoch {epoch} "
+                                         f"(objective {first.kind})")
+            losses.append(loss)
         grads = backward(params, trace, grad_logits, weight_decay=config.weight_decay)
         del trace
+        grads["w2"] *= np.kron(np.eye(len(active)), np.ones((hidden, out)))  # none across blocks
         adam_step(state, params, grads, config.learning_rate)
 
-        logits = forward(params, val_field, features).logits
-        scores = scoring.score_nodes(
-            logits, spec.val_scorer, row_stochastic=val_prop,
-            alpha=prop_alpha, iterations=prop_iterations,
-        )
-        val_acc = metrics.id_accuracy(logits, val_labels, val_id,
-                                      id_class_count=id_class_count)
-        val_auroc = metrics.auroc(scores[val_id], scores[val_ood])
-        val_score = val_acc + val_auroc
-        history.append({
-            "epoch": epoch, "loss": loss,
-            "val_acc": val_acc, "val_auroc": val_auroc, "val_score": val_score,
-        })
+        logits = forward(params, val_field, features, blocks=len(active)).logits
+        for pos, i in enumerate(active):
+            block = logits[:, pos * out:(pos + 1) * out]
+            scores = scoring.score_nodes(block, first.val_scorer, row_stochastic=val_prop,
+                                         alpha=prop_alpha, iterations=prop_iterations)
+            val_acc = metrics.id_accuracy(block, val_labels, val_id, id_class_count=id_class_count)
+            val_auroc = metrics.auroc(scores[val_id], scores[val_ood])
+            val_score = val_acc + val_auroc
+            result = results[i]
+            result.history.append({"epoch": epoch, "loss": losses[pos], "val_acc": val_acc,
+                                   "val_auroc": val_auroc, "val_score": val_score})
+            if val_score > result.best_val_score:
+                result.best_val_score = val_score
+                result.params = GcnParams(**_take_blocks(params.tensors(), np.array([pos]),
+                                                         hidden, out))
+                result.best_epoch = epoch
+                bad_epochs[i] = 0
+            else:
+                bad_epochs[i] += 1
 
-        if val_score > best_score:
-            best_score = val_score
-            best_params = params.copy()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if bad_epochs >= config.patience:
+        going = np.array([pos for pos, i in enumerate(active)
+                          if bad_epochs[i] < config.patience], dtype=np.int64)
+        if going.size == 0:
             break
+        if going.size < len(active):
+            params = GcnParams(**_take_blocks(params.tensors(), going, hidden, out))
+            state.m, state.v = (_take_blocks(t, going, hidden, out) for t in (state.m, state.v))
+            active = [active[pos] for pos in going]
 
-    return TrainResult(params=best_params, history=history,
-                       best_epoch=best_epoch, best_val_score=best_score)
+    return results[0] if isinstance(spec, ObjectiveSpec) else results
 
 
 @dataclass

@@ -95,10 +95,7 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["train"] = self.train.to_dict()
-        data["llm"] = self.llm.to_dict()
-        return data
+        return dataclasses.asdict(self)   # train and llm become dicts too
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -289,15 +286,9 @@ def build_pseudo_supervision(
 # ---------------------------------------------------------------------------
 
 def _scorer_for_method(method: str) -> str:
-    if method in ("msp", "entropy"):
+    if method in scoring.METHOD_TAGS:
         return method
-    if method == "energy_prop":
-        return "energy_prop"
-    if method == "kplus1":
-        return "kplus1"
-    if method == "binary_head":
-        return "binary_head"
-    # energy baseline and both exposure pipelines score with plain energy
+    # both exposure pipelines score with plain energy
     return "energy"
 
 
@@ -367,47 +358,29 @@ def run_seed(
     k = class_split.num_id_classes
     train_cfg = dataclasses.replace(config.train, seed=seed)
 
-    chosen_weight: float | None = None
     if config.method in EXPOSURE_METHODS:
-        best = None
-        for weight in config.exposure_weights:
-            spec = ObjectiveSpec(kind=EXPOSURE, exposure_weight=weight,
-                                 margin_id=train_cfg.margin_id,
-                                 margin_ood=train_cfg.margin_ood,
-                                 pseudo_ood_ids=train_pseudo,
-                                 val_scorer=scorer)
-            result = gcn.train_classifier(
-                features, adjacency, labels, val_split, train_cfg, spec,
-                output_dim=k, id_class_count=k, row_stochastic=row_stochastic,
-                prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
-            )
-            if best is None or result.best_val_score > best[1].best_val_score:
-                best = (weight, result)
-        chosen_weight, train_result = best
-        head_weights = None
+        spec = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=weight,
+                              margin_id=train_cfg.margin_id,
+                              margin_ood=train_cfg.margin_ood,
+                              pseudo_ood_ids=train_pseudo, val_scorer=scorer)
+                for weight in config.exposure_weights]
     elif config.method == "kplus1":
-        spec = ObjectiveSpec(kind=KPLUS1, pseudo_ood_ids=train_pseudo,
-                             val_scorer=scorer)
-        train_result = gcn.train_classifier(
-            features, adjacency, labels, val_split, train_cfg, spec,
-            output_dim=k + 1, id_class_count=k, row_stochastic=row_stochastic,
-        )
-        head_weights = None
-    elif config.method == "binary_head":
-        spec = ObjectiveSpec(kind=SUPERVISED, val_scorer="energy")
-        train_result = gcn.train_classifier(
-            features, adjacency, labels, val_split, train_cfg, spec,
-            output_dim=k, id_class_count=k,
-        )
-        head_weights = None  # fitted below on the frozen backbone
+        spec = ObjectiveSpec(kind=KPLUS1, pseudo_ood_ids=train_pseudo, val_scorer=scorer)
     else:
-        spec = ObjectiveSpec(kind=SUPERVISED, val_scorer=scorer)
-        train_result = gcn.train_classifier(
-            features, adjacency, labels, val_split, train_cfg, spec,
-            output_dim=k, id_class_count=k, row_stochastic=row_stochastic,
-            prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
-        )
-        head_weights = None
+        # binary_head keeps the energy method's backbone; its head is fitted below
+        spec = ObjectiveSpec(kind=SUPERVISED,
+                             val_scorer="energy" if config.method == "binary_head" else scorer)
+    trained = gcn.train_classifier(
+        features, adjacency, labels, val_split, train_cfg, spec,
+        output_dim=k + 1 if config.method == "kplus1" else k, id_class_count=k,
+        row_stochastic=row_stochastic,
+        prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
+    )
+    chosen_weight, train_result, head_weights = None, trained, None
+    if isinstance(trained, list):
+        # max keeps the first of equal scores: the earliest weight wins ties
+        chosen_weight, train_result = max(zip(config.exposure_weights, trained),
+                                          key=lambda pair: pair[1].best_val_score)
 
     trace = gcn.forward(train_result.params, adjacency, features)
     head_result = None

@@ -705,6 +705,14 @@ def load_generated(path: Path | str) -> list[GeneratedNode]:
 # Embedding providers
 # ---------------------------------------------------------------------------
 
+def hash_unit_vector(text: str, dim: int) -> np.ndarray:
+    """A unit vector in ``dim`` dimensions, seeded from the sha256 of ``text``."""
+    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    v = np.random.default_rng(seed).standard_normal(dim)
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0 else np.eye(dim)[0]
+
+
 class HashEmbeddingProvider:
     """Deterministic unit vector per text, seeded from the text's hash."""
 
@@ -720,11 +728,7 @@ class HashEmbeddingProvider:
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self._dim), dtype=np.float64)
         for i, text in enumerate(texts):
-            seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8],
-                                  "little")
-            v = np.random.default_rng(seed).standard_normal(self._dim)
-            norm = np.linalg.norm(v)
-            out[i] = v / norm if norm > 0 else np.eye(self._dim)[0]
+            out[i] = hash_unit_vector(text, self._dim)
         return out
 
 

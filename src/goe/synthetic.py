@@ -10,11 +10,10 @@ the deterministic mock chat model act as a well-informed annotator.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .graph import DatasetManifest, TextAttributedGraph, canonicalize_edges
+from .llm import hash_unit_vector
 
 PLANTED_CATEGORIES = ("Alpha Dynamics", "Beta Kinetics", "Gamma Morphology")
 PLANTED_ID_CLASSES = [0, 1]
@@ -111,12 +110,6 @@ class CentroidEmbeddingProvider:
     def dim(self) -> int:
         return self._dim
 
-    def _hash_direction(self, text: str) -> np.ndarray:
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
-        v = np.random.default_rng(seed).standard_normal(self._dim)
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else np.eye(self._dim)[0]
-
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self._dim), dtype=np.float64)
         for i, text in enumerate(texts):
@@ -126,7 +119,7 @@ class CentroidEmbeddingProvider:
                 if name in lower:
                     centroid = center
                     break
-            direction = self._hash_direction(text)
+            direction = hash_unit_vector(text, self._dim)
             if centroid is not None:
                 out[i] = centroid + self.jitter * direction
             else:

@@ -64,6 +64,17 @@ def brute_force_aupr_oracle(id_scores, ood_scores) -> float:
     return area
 
 
+def brute_force_fpr_at_95_oracle(id_scores, ood_scores) -> float:
+    """Walk the distinct OOD scores downward; at the first that detects at
+    least 95% of OOD (integer test), return the share of ID scores at or above it."""
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    for tau in np.unique(ood_scores)[::-1]:
+        if 20 * int((ood_scores >= tau).sum()) >= 19 * ood_scores.size:
+            return float((id_scores >= tau).sum() / id_scores.size)
+    raise AssertionError("unreachable: the lowest OOD score detects every OOD node")
+
+
 def random_score_sets(seed: int, count: int = 200):
     """Randomized ID/OOD score pairs of sizes 1..100 with ties injected."""
     rng = np.random.default_rng(seed)

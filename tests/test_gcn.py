@@ -4,7 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goe import gcn, metrics, scoring
 from goe.gcn import (
@@ -504,6 +507,160 @@ def test_field_training_history_matches_full_graph_loop(planted, kind, val_score
         assert got["val_acc"] == want["val_acc"]
         assert got["val_auroc"] == want["val_auroc"]
         assert got["loss"] == pytest.approx(want["loss"], rel=1e-12)
+
+
+def _stack(singles):
+    """Models side by side: W1 and the biases joined, W2 block-diagonal."""
+    return GcnParams(w1=np.hstack([p.w1 for p in singles]),
+                     b1=np.concatenate([p.b1 for p in singles]),
+                     w2=scipy.linalg.block_diag(*[p.w2 for p in singles]),
+                     b2=np.concatenate([p.b2 for p in singles]))
+
+
+def _model(d, h, seed):
+    """``init_params`` with nonzero biases, so a block's bias matters."""
+    p = init_params(d, h, 2, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    p.b1, p.b2 = 0.1 * rng.standard_normal(h), 0.1 * rng.standard_normal(2)
+    return p
+
+
+class TestStackedGrid:
+    WEIGHTS = (0.01, 0.5, 5.0)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5], ids=["eval", "train"])
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    def test_each_block_gives_its_model_logits_and_masks(self, d, h, dropout):
+        _, X, A, _ = build_random_graph(seed=2, n=40, dim=d, edge_prob=0.05)
+        singles = [_model(d, h, seed) for seed in range(3)]
+        for where in (A, receptive_field(A, np.array([3, 11, 29]))):
+            # a fresh rng per pass: the stack must draw what one model draws
+            stacked = forward(_stack(singles), where, X, training=dropout > 0,
+                              dropout=dropout, rng=np.random.default_rng(7), blocks=3)
+            for g, p in enumerate(singles):
+                alone = forward(p, where, X, training=dropout > 0, dropout=dropout,
+                                rng=np.random.default_rng(7))
+                np.testing.assert_allclose(stacked.logits[:, 2 * g:2 * g + 2], alone.logits,
+                                           rtol=1e-12, atol=1e-12)
+                if dropout:
+                    assert np.array_equal(stacked.drop_mask_input, alone.drop_mask_input)
+                    assert np.array_equal(stacked.drop_mask_hidden[:, h * g:h * (g + 1)],
+                                          alone.drop_mask_hidden)
+
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    def test_stack_multiplies_in_one_models_order(self, d, h, monkeypatch):
+        orders = []
+        propagate = gcn._propagate
+
+        def spy(adjacency, x, w, project):
+            orders.append(project)
+            return propagate(adjacency, x, w, project)
+
+        monkeypatch.setattr(gcn, "_propagate", spy)
+        _, X, A, _ = build_random_graph(seed=2, n=12, dim=d)
+        single = _model(d, h, 0)
+        forward(single, A, X)
+        forward(_stack([single] * 3), A, X, blocks=3)
+        assert orders[:2] == orders[2:] == [h < d, True]
+
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    def test_stacked_gradients_match_finite_differences(self, d, h):
+        _, X, A, labels = build_random_graph(seed=3, n=10, dim=d)
+        train_ids, pseudo = np.arange(6), np.array([7, 8, 9])
+        specs = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=w, pseudo_ood_ids=pseudo)
+                 for w in self.WEIGHTS]
+
+        def objective(params):
+            # a fresh rng per call freezes the training-mode masks across the probes
+            trace = forward(params, A, X, training=True, dropout=0.5,
+                            rng=np.random.default_rng(7), blocks=len(specs))
+            grad_logits = np.empty_like(trace.logits)
+            total = 0.0
+            for g, spec in enumerate(specs):
+                cols = slice(2 * g, 2 * g + 2)
+                loss, grad_logits[:, cols] = objective_loss(trace.logits[:, cols], labels,
+                                                            train_ids, spec)
+                total += loss
+            return total, backward(params, trace, grad_logits, weight_decay=0.0)
+
+        params = _stack([_model(d, h, seed) for seed in range(len(specs))])
+        # every coordinate, the off-diagonal blocks of W2 included
+        err = gradient_check(objective, params, step=1e-4, rng=np.random.default_rng(0),
+                             max_coords_per_tensor=params.w2.size + params.w1.size)
+        assert err <= 1e-4
+
+    def _problem(self, planted):
+        graph, _ = planted
+        cs = make_class_split(graph.labels, [0, 1])
+        split = sample_data_split(graph, cs, 0, test_id_size=150, test_ood_size=150)
+        pseudo = np.setdiff1d(np.flatnonzero(graph.labels == 2),
+                              split.evaluation_nodes())[:30]
+        return (graph.embeddings.astype(np.float64), normalize_adjacency(graph),
+                cs.compact_labels(graph.labels), split, pseudo,
+                row_stochastic_adjacency(graph))
+
+    def test_each_block_matches_its_weight_trained_alone(self, planted):
+        X, A, labels, split, pseudo, P = self._problem(planted)
+        cfg = TrainConfig(hidden_dim=8, max_epochs=80, patience=5, seed=1)
+        specs = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=w, pseudo_ood_ids=pseudo,
+                               val_scorer="energy_prop") for w in self.WEIGHTS]
+
+        def train(spec):
+            return train_classifier(X, A, labels, split, cfg, spec, output_dim=2,
+                                    id_class_count=2, row_stochastic=P)
+
+        stacked = train(specs)
+        assert len(stacked) == len(specs)
+        for spec, got in zip(specs, stacked):
+            alone = train(spec)
+            assert len(got.history) == len(alone.history)
+            assert got.best_epoch == alone.best_epoch
+            assert got.best_val_score == alone.best_val_score
+            for name, want in alone.params.tensors().items():
+                np.testing.assert_allclose(got.params.tensors()[name], want,
+                                           rtol=0, atol=1e-12)
+            for row, want in zip(got.history, alone.history):
+                assert row.keys() == want.keys()
+                for key, value in want.items():
+                    assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+        # the blocks stop early, each at its own epoch, not in list order
+        stops = [len(result.history) for result in stacked]
+        assert len(set(stops)) == 3 and max(stops) < cfg.max_epochs
+        assert stops.index(min(stops)) != len(stops) - 1
+
+    def test_specs_differing_beyond_the_weight_are_rejected(self, planted):
+        X, A, labels, split, pseudo, _ = self._problem(planted)
+        cfg = TrainConfig(hidden_dim=4, max_epochs=2, patience=2, seed=0)
+        spec = ObjectiveSpec(kind=EXPOSURE, pseudo_ood_ids=pseudo)
+
+        def train(specs):
+            return train_classifier(X, A, labels, split, cfg, specs, output_dim=2,
+                                    id_class_count=2)
+
+        same = dataclasses.replace(spec, exposure_weight=0.5, pseudo_ood_ids=pseudo.copy())
+        assert len(train([spec, same])) == 2
+        for other in (dataclasses.replace(spec, margin_ood=-2.0),
+                      dataclasses.replace(spec, pseudo_ood_ids=pseudo[1:]),
+                      dataclasses.replace(spec, val_scorer="msp"),
+                      ObjectiveSpec(kind=SUPERVISED)):
+            with pytest.raises(ValueError, match="differ only in exposure_weight"):
+                train([spec, other])
+        with pytest.raises(ValueError, match="non-empty"):
+            train([])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       picks=st.integers(0, 30))
+@example(n=6, density=0.5, seed=0, picks=0)      # no targets
+@example(n=6, density=1.0, seed=0, picks=6)      # every neighbour repeated
+def test_grow_matches_union1d(n, density, seed, picks):
+    rng = np.random.default_rng(seed)
+    A = sp.csr_matrix(rng.random((n, n)) < density, dtype=np.float64)
+    rows = np.unique(rng.integers(0, n, size=picks))
+    got = gcn._grow(A, rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.union1d(rows, A[rows].indices))
 
 
 def test_train_config_validation():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from goe.gcn import TrainConfig
 from goe.graph import make_class_split, save_dataset
 from goe.harness import (
     ExperimentConfig,
@@ -65,6 +66,22 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert ExperimentConfig.from_json(path).to_dict() == cfg.to_dict()
+
+
+def test_config_hash_is_pinned():
+    """The hashes of the hand-listed ``TrainConfig.to_dict``: deriving the dict
+    from the dataclass fields must not move a recorded ``config_hash``."""
+    default = ExperimentConfig(dataset_dir="data/planted", id_classes=[0, 1],
+                               method="goe_identifier", output_dir="out")
+    custom = ExperimentConfig(
+        dataset_dir="data/planted", id_classes=[0, 2], method="energy_prop",
+        output_dir="elsewhere", seeds=[3, 4],
+        train=TrainConfig(hidden_dim=16, dropout=0.25, max_epochs=50, patience=10, seed=7),
+        llm=LlmSettings(client="replay", per_class=5), exposure_weights=[0.1],
+    )
+    assert default.config_hash() == "4c98e4884227a1d8"
+    assert custom.config_hash() == "a3fa6c343418f0c3"
+    assert ExperimentConfig.from_dict(custom.to_dict()).train == custom.train
 
 
 class TestAggregateReport:

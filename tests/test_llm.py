@@ -1,5 +1,6 @@
 """Prompts, response parsing, caches, identification/generation, augmentation."""
 
+import hashlib
 import json
 import os
 import sys
@@ -41,7 +42,7 @@ from goe.llm import (
     text_key,
     _top_k_lowest_id,
 )
-from goe.synthetic import PLANTED_CATEGORIES
+from goe.synthetic import PLANTED_CATEGORIES, CentroidEmbeddingProvider, make_planted_tag
 
 
 @pytest.fixture()
@@ -573,6 +574,19 @@ class TestEmbeddingProviders:
         assert np.array_equal(m[0], m[1])
         assert not np.array_equal(m[0], m[2])
         np.testing.assert_allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-6)
+
+    def test_outputs_are_pinned(self):
+        """Both providers draw their directions from one hash-seeded helper;
+        the digests are those of the two copies it replaced."""
+        hashed = HashEmbeddingProvider(8).embed(["alpha", "", "β text", "alpha"])
+        assert hashlib.sha256(hashed.tobytes()).hexdigest() == (
+            "ea0c5a88a65085d7df3dde0d619d864b1b5a9b8caf9c322abf284eb8f89cba67")
+        graph, manifest = make_planted_tag(seed=0)
+        names = manifest.category_names
+        centroid = CentroidEmbeddingProvider(graph, manifest).embed(
+            [f"a {names[0]} paper", "nothing in common", names[2].upper()])
+        assert hashlib.sha256(centroid.tobytes()).hexdigest() == (
+            "c032dc0bc05a65092bdac071e076f0308215dd2b50eb250aefcf04bbaf0b3b71")
 
     def test_empty_text_list(self):
         provider = HashEmbeddingProvider(dim=8)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goe.metrics import (
     _average_ranks,
@@ -12,7 +14,12 @@ from goe.metrics import (
     score_histogram,
 )
 
-from conftest import brute_force_aupr_oracle, pairwise_auroc_oracle, random_score_sets
+from conftest import (
+    brute_force_aupr_oracle,
+    brute_force_fpr_at_95_oracle,
+    pairwise_auroc_oracle,
+    random_score_sets,
+)
 
 
 class TestIdAccuracy:
@@ -170,3 +177,17 @@ class TestScoreHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             score_histogram(np.array([]), np.array([], dtype=bool))
+
+
+# Few distinct values, so ties within and across the two groups are the rule;
+# -0.0 and 0.0 are equal scores.
+_TIE_HEAVY = st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                      min_size=1, max_size=60).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_s=_TIE_HEAVY, ood_s=_TIE_HEAVY)
+def test_metrics_match_oracles_on_tie_heavy_scores(id_s, ood_s):
+    assert abs(auroc(id_s, ood_s) - pairwise_auroc_oracle(id_s, ood_s)) <= 1e-12
+    assert abs(aupr(id_s, ood_s) - brute_force_aupr_oracle(id_s, ood_s)) <= 1e-9
+    assert fpr_at_95_tpr(id_s, ood_s) == brute_force_fpr_at_95_oracle(id_s, ood_s)

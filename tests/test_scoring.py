@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from goe.graph import TextAttributedGraph, canonicalize_edges, row_stochastic_adjacency
 from goe.metrics import auroc
@@ -181,3 +185,25 @@ def test_scorers_are_pure():
     logits = rng.normal(size=(10, 3))
     for scorer in (msp_score, entropy_score, energy_score, kplus1_score):
         assert np.array_equal(scorer(logits), scorer(logits.copy()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(logits=st.integers(1, 12).flatmap(lambda n: st.integers(2, 6).flatmap(
+           lambda k: arrays(np.float64, (n, k + 1), elements=st.floats(-30, 30)))),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_scorer_is_invariant_to_permuting_id_classes(logits, seed):
+    """Relabelling the ID classes moves no score. The last column is kplus1's
+    OOD class and stays last; every other scorer reads all columns as ID."""
+    rng = np.random.default_rng(seed)
+    n, k = logits.shape[0], logits.shape[1] - 1
+    weights = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    context = {"row_stochastic": sp.csr_matrix(weights / weights.sum(axis=1, keepdims=True)),
+               "hidden": rng.standard_normal((n, 3)), "head_weights": rng.standard_normal(3)}
+    perm = rng.permutation(k)
+    for method in ("msp", "entropy", "energy", "energy_prop", "binary_head"):
+        np.testing.assert_allclose(score_nodes(logits[:, perm], method, **context),
+                                   score_nodes(logits[:, :k], method, **context),
+                                   rtol=1e-12, atol=1e-12)
+    moved = np.column_stack([logits[:, perm], logits[:, k]])
+    np.testing.assert_allclose(score_nodes(moved, "kplus1"), score_nodes(logits, "kplus1"),
+                               rtol=1e-12, atol=1e-12)
