@@ -19,8 +19,8 @@ block's order, so the blocks share each epoch's masks. Each stops early alone.
 
 The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
 symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
-masks are kept as bool arrays and the inverted-dropout scale ``1/keep`` is
-applied where a mask is used.
+masks are kept as bool arrays and the inverted-dropout scale is applied where
+a mask is used.
 
 Both passes run on a ``ReceptiveField``: the output rows F0, the rows F1 that
 layer 2 reads (F0 and its neighbours) and the rows F2 that layer 1 reads (F1
@@ -31,9 +31,9 @@ one grown from the nodes the loss reads and one from the validation nodes,
 so an epoch costs in proportion to the fields, not to the graph. The blocks
 ``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]`` stand in for the transposes
 of the forward blocks, which again needs a symmetric ``A_hat``. A plain
-adjacency is the whole-graph field. Dropout masks are drawn for the whole
-graph, in the same calls and order as a full-graph pass, and then cut to the
-field's rows, so a seed gives the same masks on any field.
+adjacency is the whole-graph field. Entry (i, j) of a dropout mask is a
+counter hash of the pass's key, node i and column j (``dropout_mask``), so a
+pass computes only its field's rows and they equal the whole-graph mask's.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ class ForwardTrace:
     dropped_hidden: np.ndarray  # (n, h) Drop(hidden)
     relu_mask: np.ndarray       # (n, h) bool, pre-activation > 0
     field: ReceptiveField
-    training: bool
     drop_mask_input: np.ndarray | None = None   # bool keep masks, unscaled
     drop_mask_hidden: np.ndarray | None = None
-    dropout_scale: float = 1.0                  # 1/keep, applied with the masks
+    dropout_scale: float = 1.0                  # 2¹⁶/t, applied with the masks
 
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
@@ -178,6 +177,34 @@ def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
     )
 
 
+def _keep_threshold(keep: float) -> int:
+    """``keep`` in units of 2⁻¹⁶, the resolution of a mask's 16-bit lanes."""
+    t = round(keep * 2**16)
+    if not 0 < t <= 2**16:
+        raise ValueError(f"keep probability {keep!r} rounds to {t}/65536, outside (0, 1]")
+    return t
+
+
+def dropout_mask(key: int, rows: np.ndarray | slice, n: int, cols: int,
+                 keep: float) -> np.ndarray:
+    """Bool keep mask, ``(len(rows), cols)``, for ``rows`` of an ``(n, cols)`` mask.
+
+    Entry (i, j) is lane ``j % 4`` of ``splitmix64(counter * φ + key)``, with
+    ``counter = i * ceil(cols / 4) + j // 4`` and each uint64 read as four
+    little-endian 16-bit lanes; it is kept when its lane is below
+    ``t = round(keep * 2¹⁶)``. Any rows give the same bits as the whole mask.
+    """
+    t = _keep_threshold(keep)
+    words = -(-cols // 4)
+    z = np.arange(n, dtype=np.uint64)[rows, None] * words + np.arange(words, dtype=np.uint64)
+    z = z * 0x9E3779B97F4A7C15 + key        # splitmix64: golden-ratio step, then mix
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= multiplier
+    z ^= z >> 31
+    return z.astype("<u8", copy=False).view("<u2")[:, :cols] < t
+
+
 def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray,
                project: bool) -> np.ndarray:
     """A_hat @ x @ w, as ``A_hat @ (x @ w)`` when ``project``, else ``(A_hat @ x) @ w``."""
@@ -193,6 +220,9 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
 
     ``features`` always holds every node; eval mode is deterministic and
     dropout-free. ``blocks`` is the number of models stacked in ``params``.
+    Training keys the input mask (F2's rows) and one block's hidden mask (F1's
+    rows) with ``rng.bit_generator.random_raw(2)``. Both keep at rate ``t / 2¹⁶``,
+    ``1 - dropout`` rounded to a multiple of 2⁻¹⁶, and scale by ``2¹⁶ / t``.
     """
     if features.shape[1] != params.input_dim:
         raise ValueError(
@@ -204,13 +234,15 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
     field = (adjacency if isinstance(adjacency, ReceptiveField)
              else ReceptiveField.whole(adjacency))
     _, mid, inp = field.rows
-    keep = 1.0 - dropout
-    scale = 1.0 / keep if use_dropout else 1.0
+    keep, scale = 1.0 - dropout, 1.0
     width, out_dim = params.hidden_dim // blocks, params.output_dim // blocks
 
-    mask_in = None
+    mask_in = mask_h = None
     if use_dropout:
-        mask_in = (rng.random(features.shape) < keep)[inp]
+        scale = 2**16 / _keep_threshold(keep)
+        key_in, key_h = rng.bit_generator.random_raw(2)
+        mask_in = dropout_mask(key_in, inp, *features.shape, keep)
+        mask_h = np.tile(dropout_mask(key_h, mid, features.shape[0], width, keep), blocks)
         x = features[inp] * mask_in
         x *= scale
     else:
@@ -218,20 +250,14 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
     pre_act = _propagate(field.layer1, x, params.w1, width < params.input_dim) + params.b1
     relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
-
-    mask_h = None
-    h = hidden
-    if use_dropout:
-        mask_h = np.tile((rng.random((features.shape[0], width)) < keep)[mid], blocks)
-        h = hidden * mask_h
-        h *= scale
+    h = hidden if mask_h is None else hidden * mask_h * scale
     logits = _propagate(field.layer2, h, params.w2, out_dim < width) + params.b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
 
     return ForwardTrace(
         logits=logits, hidden=hidden, dropped_input=x, dropped_hidden=h,
-        relu_mask=relu_mask, field=field, training=use_dropout,
+        relu_mask=relu_mask, field=field,
         drop_mask_input=mask_in, drop_mask_hidden=mask_h, dropout_scale=scale,
     )
 
@@ -361,6 +387,7 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        _keep_threshold(1.0 - self.dropout)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.patience > self.max_epochs:

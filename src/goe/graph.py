@@ -24,6 +24,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -454,12 +455,17 @@ def save_dataset(graph: TextAttributedGraph, manifest: DatasetManifest,
 # Adjacency operators
 # ---------------------------------------------------------------------------
 
-def _degrees_with_self_loops(graph: TextAttributedGraph) -> np.ndarray:
-    deg = np.ones(graph.node_count, dtype=np.float64)
-    if graph.edges.size:
-        np.add.at(deg, graph.edges[:, 0], 1.0)
-        np.add.at(deg, graph.edges[:, 1], 1.0)
-    return deg
+def _self_loop_adjacency(graph: TextAttributedGraph,
+                         values: Callable[..., np.ndarray]) -> sp.csr_matrix:
+    """The adjacency with self-loops, in CSR, with entries ``values(deg, rows, cols)``
+    at the COO pairs (each edge both ways, then the diagonal); ``deg`` counts the loop."""
+    n = graph.node_count
+    edges = graph.edges if graph.edges.size else np.zeros((0, 2), dtype=np.int64)
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
+    deg = np.bincount(rows, minlength=n).astype(np.float64)
+    return sp.coo_matrix((values(deg, rows, cols), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
@@ -469,28 +475,15 @@ def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     diagonal, where degrees count the self-loop. Exactly symmetric because
     each off-diagonal pair is computed as the same commutative product.
     """
-    n = graph.node_count
-    deg_inv_sqrt = 1.0 / np.sqrt(_degrees_with_self_loops(graph))
-    src = graph.edges[:, 0] if graph.edges.size else np.zeros(0, dtype=np.int64)
-    dst = graph.edges[:, 1] if graph.edges.size else np.zeros(0, dtype=np.int64)
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([src, dst, diag])
-    cols = np.concatenate([dst, src, diag])
-    vals = deg_inv_sqrt[rows] * deg_inv_sqrt[cols]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    def values(deg, rows, cols):
+        deg_inv_sqrt = 1.0 / np.sqrt(deg)
+        return deg_inv_sqrt[rows] * deg_inv_sqrt[cols]
+    return _self_loop_adjacency(graph, values)
 
 
 def row_stochastic_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     """Row-normalized adjacency with self-loops; every row sums to 1."""
-    n = graph.node_count
-    deg_inv = 1.0 / _degrees_with_self_loops(graph)
-    src = graph.edges[:, 0] if graph.edges.size else np.zeros(0, dtype=np.int64)
-    dst = graph.edges[:, 1] if graph.edges.size else np.zeros(0, dtype=np.int64)
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([src, dst, diag])
-    cols = np.concatenate([dst, src, diag])
-    vals = deg_inv[rows]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return _self_loop_adjacency(graph, lambda deg, rows, cols: (1.0 / deg)[rows])
 
 
 # ---------------------------------------------------------------------------

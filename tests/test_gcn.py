@@ -1,6 +1,7 @@
 """Forward/backward correctness, Adam, dropout scaling, and the train loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -126,13 +127,76 @@ class TestForward:
         trace = forward(p, A, X, training=True, dropout=0.5,
                         rng=np.random.default_rng(11))
 
-        rng = np.random.default_rng(11)
+        key_in, key_h = np.random.default_rng(11).bit_generator.random_raw(2)
         a_dense = A.toarray()
-        x_d = X * (rng.random(X.shape) < 0.5) / 0.5
+        x_d = X * gcn.dropout_mask(key_in, slice(None), *X.shape, 0.5) / 0.5
         hidden = np.maximum(a_dense @ x_d @ p.w1 + p.b1, 0.0)
-        h_d = hidden * (rng.random(hidden.shape) < 0.5) / 0.5
+        h_d = hidden * gcn.dropout_mask(key_h, slice(None), *hidden.shape, 0.5) / 0.5
         expected = a_dense @ h_d @ p.w2 + p.b2
         np.testing.assert_allclose(trace.logits, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestDropoutMask:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), cols=st.one_of(st.integers(1, 40), st.just(384)),
+           keep=st.sampled_from([0.25, 0.5, 0.75, 0.9]), key=st.integers(0, 2**64 - 1),
+           data=st.data())
+    def test_rows_are_the_whole_masks_rows(self, n, cols, keep, key, data):
+        picked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        rows = np.array(sorted(picked), dtype=np.int64)
+        whole = gcn.dropout_mask(key, slice(None), n, cols, keep)
+        part = gcn.dropout_mask(key, rows, n, cols, keep)
+        assert whole.shape == (n, cols) and part.shape == (rows.size, cols)
+        assert part.dtype == bool
+        assert np.array_equal(part, whole[rows])
+
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_keep_rate_overall_and_per_column(self, keep):
+        n, cols = 30_000, 16
+        p = round(keep * 2**16) / 2**16
+        key = np.random.default_rng(0).bit_generator.random_raw()
+        mask = gcn.dropout_mask(key, slice(None), n, cols, keep)
+        assert abs(mask.mean() - p) <= 4 * np.sqrt(p * (1 - p) / mask.size)
+        assert np.all(np.abs(mask.mean(axis=0) - p) <= 4 * np.sqrt(p * (1 - p) / n))
+
+    def test_two_keys_agree_on_about_half(self):
+        key_a, key_b = np.random.default_rng(1).bit_generator.random_raw(2)
+        a, b = (gcn.dropout_mask(k, slice(None), 30_000, 16, 0.5) for k in (key_a, key_b))
+        assert abs((a == b).mean() - 0.5) <= 4 * np.sqrt(0.25 / a.size)
+
+    def test_stream_is_pinned(self):
+        mask = gcn.dropout_mask(1, slice(None), 1000, 37, 0.5)
+        assert hashlib.sha256(mask.tobytes()).hexdigest() == (
+            "c77a77ea248fdbea8a73d254f6e11e9f8a6edeb76bf069cb45b9fa193e370a4a")
+
+    @pytest.mark.parametrize("n", [20, 2000])
+    def test_training_forward_takes_two_raw_draws(self, n):
+        X = np.random.default_rng(n).standard_normal((n, 6))
+        p = init_params(6, 8, 2, seed=0)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        forward(p, _identity_adj(n), X, training=True, dropout=0.5, rng=rng)
+        twin.bit_generator.random_raw(2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_keep_rounding_to_zero_is_rejected(self):
+        TrainConfig(dropout=1 - 2**-16).validate()       # keep 2⁻¹⁶, the threshold t = 1
+        with pytest.raises(ValueError, match="rounds to 0/65536"):
+            TrainConfig(dropout=1 - 2**-18).validate()
+        _, X, A, _ = build_random_graph(seed=0)
+        p = init_params(X.shape[1], 8, 2, seed=0)
+        with pytest.raises(ValueError, match="rounds to 0/65536"):
+            forward(p, A, X, training=True, dropout=1 - 2**-18, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("keep", [0.25, 0.5, 0.75, 0.9])
+    def test_scale_inverts_the_quantised_keep(self, keep):
+        _, X, A, _ = build_random_graph(seed=0)
+        p = init_params(X.shape[1], 8, 2, seed=0)
+        trace = forward(p, A, X, training=True, dropout=1 - keep, rng=np.random.default_rng(0))
+        assert trace.dropout_scale == 2**16 / round(keep * 2**16)
+        if keep != 0.9:                     # on the 2⁻¹⁶ grid: the scale is 1/keep
+            assert trace.dropout_scale == 1 / keep
+        else:
+            assert trace.dropout_scale != 1 / keep
 
 
 class TestBackward:

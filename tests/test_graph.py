@@ -433,6 +433,21 @@ class TestNormalizeAdjacency:
         p = row_stochastic_adjacency(g)
         np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0, atol=1e-15)
 
+    def test_operators_on_planted_graph_are_pinned(self, planted):
+        """The CSR bytes of both operators, which share one self-loop builder."""
+        graph, _ = planted
+
+        def digests(a):
+            return [hashlib.sha256(arr.astype(dtype).tobytes()).hexdigest()
+                    for arr, dtype in ((a.data, "<f8"), (a.indices, "<i8"), (a.indptr, "<i8"))]
+
+        structure = ["3ac3b70a7f9c6a0d9b61b22b5034f43e929f419a9386cfa704ca042706ed6d28",
+                     "21a041c8a037c2928dbe9dd47b4528bf9436547f88aa9551ea2a75eebce796ef"]
+        assert digests(normalize_adjacency(graph)) == [
+            "d19e472f16c1c262167ef9c3aad0632b9ae8ec58334dc56172240c04021eb61f", *structure]
+        assert digests(row_stochastic_adjacency(graph)) == [
+            "0019d8b7a4afeef67b604d792a2557ee32cf2b9124cdd82d1c61b5b9152cfabf", *structure]
+
 
 class TestClassSplit:
     def test_counts(self):
