@@ -97,8 +97,10 @@ def main():
 @click.option("--dim", default=16, show_default=True)
 def synth(directory: str, seed: int, nodes_per_class: int, dim: int):
     """Write a seeded synthetic planted dataset for offline experiments."""
-    graph, manifest = make_planted_tag(seed=seed, nodes_per_class=nodes_per_class,
-                                       dim=dim)
+    try:
+        graph, manifest = make_planted_tag(seed=seed, nodes_per_class=nodes_per_class, dim=dim)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     save_dataset(graph, manifest, directory)
     click.echo(f"wrote {manifest.node_count} nodes, {len(graph.edges)} edges, "
                f"{len(manifest.category_names)} classes to {directory}")

@@ -5,7 +5,11 @@ in-distribution topics on opposite sides of the first axis and one
 out-of-distribution topic placed off-axis but leaning toward the first ID
 community, so a classifier trained on ID labels alone is overconfident on
 OOD nodes. Node texts mention their community's category name, which lets
-the deterministic mock chat model act as a well-informed annotator.
+the deterministic mock chat model act as a well-informed annotator. The
+edges are a contract: seed for seed, they equal what a per-node loop of
+`rng.choice(same_class, size=intra_degree, replace=False)`, `rng.random()` and,
+below `cross_edge_fraction`, `rng.choice(other_classes)` draws. `_planted_pairs`
+replays that stream in blocks of nodes, within Floyd's domain (checked).
 """
 
 from __future__ import annotations
@@ -17,6 +21,77 @@ from .llm import hash_unit_vector
 
 PLANTED_CATEGORIES = ("Alpha Dynamics", "Beta Kinetics", "Gamma Morphology")
 PLANTED_ID_CLASSES = [0, 1]
+_BLOCK_NODES = 4096  # nodes replayed from one batch of generator words
+
+
+def _planted_pairs(rng: np.random.Generator, pop: int, degree: int,
+                   cross_fraction: float) -> np.ndarray:
+    """The module docstring's loop for three classes of `pop` nodes, as (node, partner) rows.
+
+    Node i draws 32 bits on [0, j] per Floyd step j = pop-degree .. pop-1 (none
+    when j = 0) and on [0, k] per shuffle swap k = degree-1 .. 1, a double, and,
+    if that is below `cross_fraction`, 32 bits on [0, 2*pop - 1]. 32 bits are the
+    low half of a fresh word or the high half the last one left held; a double
+    takes a fresh word. At a rejected Lemire draw numpy redraws that node.
+    """
+    def lemire(u, top):  # numpy's bounded draw on [0, top] from 32 bits: (values, rejected)
+        m = u.astype(np.uint64) * (top + 1)
+        return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (0xFFFFFFFF - top) % (top + 1)
+
+    bitgen = rng.bit_generator
+    floyd = np.arange(pop - degree, pop)
+    tops = np.concatenate([floyd[floyd > 0], np.arange(degree - 1, 0, -1)]).astype(np.uint64)
+    draws = len(tops)
+    out, start, n = [], 0, 3 * pop
+    while start < n:
+        state, count = bitgen.state, min(_BLOCK_NODES, n - start)
+        # word 0 holds the generator's buffered half, if any, as its high half
+        words = np.concatenate([[np.uint64(state["uinteger"]) << np.uint64(32)],
+                                bitgen.random_raw(count * ((draws + 1) // 2 + 2))])
+        halves = words.astype("<u8", copy=False).view("<u4")
+        crossing = ((words >> np.uint64(11)) * 2.0 ** -53 < cross_fraction).tolist()
+        pos, held = 1, (1 if state["has_uint32"] else -1)  # next fresh word, buffered half
+        marks, crossings = [], []
+        for i in range(count):
+            marks.append((pos, held))
+            if draws:  # `fresh` halves come from fresh words; an odd count leaves one held
+                fresh = draws - (held >= 0)
+                pos += (fresh + 1) // 2
+                held = 2 * pos - 1 if fresh % 2 else -1
+            pos += 1
+            if crossing[pos - 1]:
+                crossings.append((i, held if held >= 0 else 2 * pos))
+                pos, held = (pos, -1) if held >= 0 else (pos + 1, 2 * pos + 1)
+        starts, helds = np.array(marks + [(pos, held)]).T
+        buf = helds >= 0
+        at = 2 * starts[:-1, None] - buf[:-1, None] + np.arange(draws)
+        at = np.where((np.arange(draws) == 0) & buf[:-1, None], helds[:-1, None], at)
+        values, bad = lemire(halves[at], tops)
+        crossers, cross_at = np.array(crossings, dtype=np.int64).reshape(-1, 2).T
+        targets, bad_cross = lemire(halves[cross_at], np.uint64(2 * pop - 1))
+        cut = int(min([*np.flatnonzero(bad.any(axis=1)), *crossers[bad_cross]], default=count))
+        picks = values[:cut, :degree] if pop > degree else np.tile(np.arange(pop), (cut, 1))
+        for t in range(1, degree):  # Floyd: a value already picked becomes j
+            picks[(picks[:, :t] == picks[:, t:t + 1]).any(axis=1), t] = pop - degree + t
+        nodes = start + np.arange(cut)
+        partners = picks + (nodes - nodes % pop)[:, None]
+        mine = partners != nodes[:, None]
+        crossers, targets = crossers[crossers < cut] + start, targets[crossers < cut]
+        out += [np.column_stack([np.repeat(nodes, mine.sum(axis=1)), partners[mine]]),
+                np.column_stack([crossers, targets + pop * (targets >= crossers - crossers % pop)])]
+        # leave the generator where node start + cut begins
+        bitgen.state = state
+        bitgen.state = {**bitgen.advance(int(starts[cut]) - 1).state, "has_uint32": int(buf[cut]),
+                        "uinteger": int(halves[helds[cut]]) if buf[cut] else 0}
+        start += cut
+        if cut < count:  # a rejected draw: numpy draws this node itself
+            base = start - start % pop
+            partners = [j for j in rng.choice(pop, degree, replace=False) + base if j != start]
+            if rng.random() < cross_fraction:
+                partners.append(rng.choice(np.r_[:base, base + pop:n]))
+            out.append(np.array([(start, j) for j in partners], dtype=np.int64).reshape(-1, 2))
+            start += 1
+    return np.concatenate(out)
 
 
 def make_planted_tag(
@@ -35,8 +110,18 @@ def make_planted_tag(
 
     Classes 0 and 1 are the intended ID classes; class 2 is OOD. Edges are
     mostly intra-community (homophilous), with a small fraction of random
-    cross-community links.
+    cross-community links, equal to the per-node `Generator.choice` loop's
+    (module docstring) within Floyd's domain; the checks below raise ValueError.
     """
+    for ok, rule in (
+            (intra_degree >= 0, "intra_degree >= 0"), (dim >= 2, "dim >= 2"),
+            (nodes_per_class >= max(1, intra_degree), "nodes_per_class >= max(1, intra_degree)"),
+            (0 <= cross_edge_fraction <= 1, "0 <= cross_edge_fraction <= 1"),
+            (nodes_per_class <= 10_000 or intra_degree <= nodes_per_class // 50,
+             "intra_degree <= nodes_per_class // 50 when nodes_per_class > 10000")):
+        if not ok:
+            raise ValueError(f"planted graph needs {rule}; got nodes_per_class={nodes_per_class}, "
+                             f"intra_degree={intra_degree}, dim={dim}, cross={cross_edge_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(900,)))
     n_classes = len(PLANTED_CATEGORIES)
     n = nodes_per_class * n_classes
@@ -50,24 +135,12 @@ def make_planted_tag(
     labels = np.repeat(np.arange(n_classes), nodes_per_class).astype(np.int64)
     embeddings = (means[labels] + noise * rng.standard_normal((n, dim))).astype(np.float32)
 
-    texts = [
-        f"{PLANTED_CATEGORIES[labels[i]]} {object_kind} {i}: synthetic field notes "
-        f"on {PLANTED_CATEGORIES[labels[i]].lower()} observed in trial {i % 17}."
-        for i in range(n)
-    ]
-
-    same = [np.flatnonzero(labels == c) for c in range(n_classes)]
-    other = [np.flatnonzero(labels != c) for c in range(n_classes)]
-    pairs = []
-    for i in range(n):
-        cls = labels[i]
-        partners = rng.choice(same[cls], size=intra_degree, replace=False)
-        for j in partners:
-            if i != j:
-                pairs.append((i, int(j)))
-        if rng.random() < cross_edge_fraction:
-            pairs.append((i, int(rng.choice(other[cls]))))
-    edges = canonicalize_edges(np.array(pairs, dtype=np.int64), n)
+    heads = [f"{name} {object_kind} " for name in PLANTED_CATEGORIES]
+    tails = [f": synthetic field notes on {name.lower()} observed in trial "
+             for name in PLANTED_CATEGORIES]
+    texts = [f"{heads[c]}{i}{tails[c]}{i % 17}." for i, c in enumerate(labels.tolist())]
+    edges = canonicalize_edges(
+        _planted_pairs(rng, nodes_per_class, intra_degree, cross_edge_fraction), n)
 
     graph = TextAttributedGraph(
         node_count=n, edges=edges, texts=texts,

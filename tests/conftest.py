@@ -91,3 +91,30 @@ def random_score_sets(seed: int, count: int = 200):
             ood_s = rng.normal(loc=0.5, size=n_ood)
         sets.append((id_s.astype(np.float64), ood_s.astype(np.float64)))
     return sets
+
+
+# ---------------------------------------------------------------------------
+# Independent planted-graph oracle (the original per-node loop; shares no code with goe)
+# ---------------------------------------------------------------------------
+
+def reference_planted_pairs(seed: int, nodes_per_class: int, intra_degree: int = 4,
+                            cross_edge_fraction: float = 0.03, dim: int = 16) -> list:
+    """The planted graph's (node, partner) pairs as the per-node loop drew them:
+    the same generator, the embedding draw first, then one `choice` per node
+    for its class partners, one `random`, and one `choice` for a cross edge."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(900,)))
+    n = 3 * nodes_per_class
+    rng.standard_normal((n, dim))
+    labels = np.repeat(np.arange(3), nodes_per_class)
+    same = [np.flatnonzero(labels == c) for c in range(3)]
+    other = [np.flatnonzero(labels != c) for c in range(3)]
+    pairs = []
+    for i in range(n):
+        cls = labels[i]
+        partners = rng.choice(same[cls], size=intra_degree, replace=False)
+        for j in partners:
+            if i != j:
+                pairs.append((i, int(j)))
+        if rng.random() < cross_edge_fraction:
+            pairs.append((i, int(rng.choice(other[cls]))))
+    return pairs

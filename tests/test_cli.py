@@ -176,3 +176,31 @@ def test_replay_pipeline_is_byte_identical(tmp_path):
         assert result.exit_code == 0, result.output
         reports.append((tmp_path / f"run-{run}" / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_synth_files_are_pinned(tmp_path):
+    """Every file `goe synth --seed 0` writes, hashed as the per-node loop wrote them."""
+    import hashlib
+
+    data = tmp_path / "data"
+    result = CliRunner().invoke(main, ["synth", str(data), "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(data.iterdir())}
+    assert digests == {
+        "edges.tsv": "30bf747c2866db45286b4b400075d4a15219cab324748378d86c7407ff6ecf89",
+        "embeddings.bin": "9a496c59f4fddf6cfa3056d02ef7894ab1ab63868c9f344dc8f68503ea12f669",
+        "manifest.json": "dfca1099e97ec91e8e7ada6701ba2be6cbae7c7468f83317a5847c3b5fbc15b3",
+        "nodes.jsonl": "ea4018ab140026cd276057bdb983dc3f5067c155d17f105a4b7909d11e884873",
+    }
+
+
+@pytest.mark.parametrize("args", [["--dim", "1"], ["--dim", "0"], ["--nodes-per-class", "2"],
+                                  ["--nodes-per-class", "-3"], ["--nodes-per-class", "0"]])
+def test_synth_rejects_bad_arguments_in_one_line(tmp_path, args):
+    data = tmp_path / "data"
+    result = CliRunner().invoke(main, ["synth", str(data), *args])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: planted graph needs ")
+    assert result.output.count("\n") == 1
+    assert not data.exists()
