@@ -131,9 +131,6 @@ class ClassSplit:
             out[labels == original] = idx
         return out
 
-    def is_ood_label(self, labels: np.ndarray) -> np.ndarray:
-        return np.isin(labels, self.ood_classes)
-
 
 @dataclass
 class DataSplit:

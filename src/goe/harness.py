@@ -43,6 +43,7 @@ SYNTHETIC_MODEL_METHODS = ("kplus1", "binary_head")
 ALL_METHODS = BASELINE_METHODS + EXPOSURE_METHODS + SYNTHETIC_MODEL_METHODS
 
 METRIC_NAMES = ("id_acc", "auroc", "aupr", "fpr_at_95")
+METRIC_HEADERS = ("ID ACC", "AUROC", "AUPR", "FPR@95")
 
 
 @dataclass
@@ -512,22 +513,21 @@ def environment_info() -> dict:
     return {"numpy": np.__version__}
 
 
+def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def format_results_table(reports: list[EvalReport]) -> str:
     """Markdown table of mean (and std when present) per method."""
-    lines = [
-        "| Method | ID ACC | AUROC | AUPR | FPR@95 |",
-        "|---|---|---|---|---|",
-    ]
+    rows = []
     for report in reports:
-        cells = []
-        for name in METRIC_NAMES:
-            mean = report.mean[name]
-            if report.std is not None:
-                cells.append(f"{mean:.4f} ± {report.std[name]:.4f}")
-            else:
-                cells.append(f"{mean:.4f}")
-        lines.append("| " + " | ".join([report.method] + cells) + " |")
-    return "\n".join(lines) + "\n"
+        std = report.std
+        rows.append([report.method] + [
+            f"{report.mean[name]:.4f}" + ("" if std is None else f" ± {std[name]:.4f}")
+            for name in METRIC_NAMES])
+    return _markdown_table(["Method", *METRIC_HEADERS], rows)
 
 
 def sweep_pseudo_count(config: ExperimentConfig,
@@ -557,16 +557,10 @@ def sweep_pseudo_count(config: ExperimentConfig,
         rows.append(row)
 
     (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
-    lines = [
-        "| Pseudo-OOD count | ID ACC | AUROC | AUPR | FPR@95 |",
-        "|---|---|---|---|---|",
-    ]
-    for row in rows:
-        lines.append(
-            f"| {row['count']} | {row['id_acc']:.4f} | {row['auroc']:.4f} "
-            f"| {row['aupr']:.4f} | {row['fpr_at_95']:.4f} |"
-        )
-    (out_dir / "sweep.md").write_text("\n".join(lines) + "\n")
+    table = [[str(row["count"])] + [f"{row[name]:.4f}" for name in METRIC_NAMES]
+             for row in rows]
+    (out_dir / "sweep.md").write_text(
+        _markdown_table(["Pseudo-OOD count", *METRIC_HEADERS], table))
     return rows
 
 

@@ -83,12 +83,14 @@ def text_key(text: str) -> str:
 class ChatCache:
     """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
 
-    The first ``put`` creates the directory and opens one ``O_APPEND``
-    descriptor, which lives as long as the cache. Each record is encoded once
-    and written with a single ``os.write`` under ``flock(LOCK_EX)``, so
-    writers in several threads or processes never interleave records; a short
-    write is cut back off and raises. Loading reads under ``LOCK_SH``, so it
-    sees whole records only. A cache that only reads opens no descriptor.
+    The file keeps whole records, but only key → response is held in memory,
+    so ``get`` returns ``{"response": ...}`` or None. The first ``put``
+    creates the directory and opens one ``O_APPEND`` descriptor, which lives
+    as long as the cache. Each record is encoded once and written with a
+    single ``os.write`` under ``flock(LOCK_EX)``, so writers in several
+    threads or processes never interleave records; a short write is cut back
+    off and raises. Loading reads under ``LOCK_SH``, so it sees whole records
+    only. A cache that only reads opens no descriptor.
 
     A crash mid-append leaves a torn last line with no newline. Loading skips
     it with a warning, and the first ``put`` cuts the file back to the end of
@@ -96,12 +98,13 @@ class ChatCache:
     after a complete record). That repair runs under the same lock, and only
     if the file still has the size seen at load: otherwise another writer has
     already repaired it and appended, and cutting would destroy its records.
-    Any other unreadable line raises.
+    Any other unreadable line, or one without a string ``key`` and
+    ``response``, raises naming the file and the line.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        self._records: dict[str, dict] = {}
+        self._responses: dict[str, str] = {}
         self._lock = threading.Lock()
         self._fd: int | None = None
         # (size seen at load, size to cut the file to, bytes to write first)
@@ -128,20 +131,27 @@ class ChatCache:
                                   stacklevel=3)
                     self._repair = (size, size - len(line.encode(fh.encoding)), b"")
                     return
-                self._records[rec["key"]] = rec
+                fields = rec if isinstance(rec, dict) else {}
+                key, response = fields.get("key"), fields.get("response")
+                if not (isinstance(key, str) and isinstance(response, str)):
+                    name = "response" if isinstance(key, str) else "key"
+                    raise ValueError(f"{self.path}: line {number} is not a chat record: "
+                                     f"no string {name!r}")
+                self._responses[key] = response
         if not line.endswith("\n"):
             self._repair = (size, size, b"\n")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._responses)
 
     def get(self, key: str) -> dict | None:
-        return self._records.get(key)
+        response = self._responses.get(key)
+        return None if response is None else {"response": response}
 
     def put(self, record: dict) -> None:
         data = (json.dumps(record) + "\n").encode()
         with self._lock:
-            if record["key"] in self._records:
+            if record["key"] in self._responses:
                 return
             if self._fd is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -162,7 +172,7 @@ class ChatCache:
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
             self._repair = None
-            self._records[record["key"]] = record
+            self._responses[record["key"]] = record["response"]
 
 
 class MockChatClient:
@@ -236,13 +246,7 @@ class ReplayChatClient:
 
 
 class HttpChatClient:
-    """OpenAI-compatible /chat/completions client with retry and backoff.
-
-    Transport errors, 5xx responses and 429 rate limits are retried up to
-    three times with 1s/2s/4s waits; a 429 whose ``Retry-After`` header is a
-    number of seconds waits that long instead. Other 4xx responses fail
-    immediately.
-    """
+    """OpenAI-compatible /chat/completions client with retry and backoff (``_post_json``)."""
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  timeout: float = 60.0, max_attempts: int = 4):
@@ -253,44 +257,48 @@ class HttpChatClient:
         if not self.base_url:
             raise RuntimeError("no chat endpoint: set GOE_LLM_BASE_URL")
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
-
-    def _post(self, route: str, body: dict) -> dict:
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            delay = None
-            try:
-                resp = requests.post(f"{self.base_url}{route}", json=body,
-                                     headers=self._headers(), timeout=self.timeout)
-                if resp.status_code == 429:
-                    last_error = RuntimeError("rate limited (429)")
-                    delay = _retry_after_seconds(resp)
-                elif resp.status_code >= 500:
-                    last_error = RuntimeError(f"server error {resp.status_code}")
-                elif resp.status_code >= 400:
-                    raise RuntimeError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
-                else:
-                    return resp.json()
-            except requests.RequestException as exc:
-                last_error = exc
-            if attempt + 1 < self.max_attempts:
-                time.sleep(2 ** attempt if delay is None else delay)
-        raise RuntimeError(f"chat endpoint unreachable after {self.max_attempts} attempts") \
-            from last_error
-
     def complete(self, model: str, messages: list[dict], *,
                  temperature: float = 0.0, max_tokens: int = 512) -> str:
-        data = self._post("/chat/completions", {
+        data = _post_json(self, "/chat/completions", {
             "model": model,
             "messages": messages,
             "temperature": temperature,
             "max_tokens": max_tokens,
         })
         return data["choices"][0]["message"]["content"]
+
+
+def _post_json(endpoint: HttpChatClient, route: str, body: dict) -> dict:
+    """POST ``body`` to ``endpoint.base_url + route`` and return the decoded reply.
+
+    Transport errors, 5xx responses and 429 rate limits are retried, up to
+    ``endpoint.max_attempts`` calls, with 1s/2s/4s waits, or as many seconds
+    as a 429's ``Retry-After`` header gives. Other 4xx responses fail at once.
+    """
+    headers = {"Content-Type": "application/json"}
+    if endpoint.api_key:
+        headers["Authorization"] = f"Bearer {endpoint.api_key}"
+    last_error: Exception | None = None
+    for attempt in range(endpoint.max_attempts):
+        delay = None
+        try:
+            resp = requests.post(f"{endpoint.base_url}{route}", json=body,
+                                 headers=headers, timeout=endpoint.timeout)
+            if resp.status_code == 429:
+                last_error = RuntimeError("rate limited (429)")
+                delay = _retry_after_seconds(resp)
+            elif resp.status_code >= 500:
+                last_error = RuntimeError(f"server error {resp.status_code}")
+            elif resp.status_code >= 400:
+                raise RuntimeError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
+            else:
+                return resp.json()
+        except requests.RequestException as exc:
+            last_error = exc
+        if attempt + 1 < endpoint.max_attempts:
+            time.sleep(2 ** attempt if delay is None else delay)
+    raise RuntimeError(f"chat endpoint unreachable after {endpoint.max_attempts} attempts") \
+        from last_error
 
 
 def _retry_after_seconds(resp) -> float | None:
@@ -777,7 +785,7 @@ class HttpEmbeddingProvider:
         self.model = model
         self.batch_size = batch_size
         self._dim = dim
-        self._http = HttpChatClient(base_url=base_url, api_key=api_key, timeout=timeout)
+        self._endpoint = HttpChatClient(base_url=base_url, api_key=api_key, timeout=timeout)
 
     @property
     def dim(self) -> int:
@@ -789,7 +797,8 @@ class HttpEmbeddingProvider:
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start:start + self.batch_size]
-            data = self._http._post("/embeddings", {"model": self.model, "input": batch})
+            data = _post_json(self._endpoint, "/embeddings",
+                              {"model": self.model, "input": batch})
             items = sorted(data["data"], key=lambda item: item["index"])
             rows.extend(np.asarray(item["embedding"], dtype=np.float64) for item in items)
         if not rows:

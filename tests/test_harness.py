@@ -273,6 +273,44 @@ def test_format_results_table():
     assert "0.9000" in table
 
 
+def test_results_table_is_pinned():
+    one = aggregate_report("energy", "h", [{"seed": 0, "id_acc": 1.0, "auroc": 0.9,
+                                            "aupr": 0.8, "fpr_at_95": 0.1}])
+    two = aggregate_report("msp", "h", [
+        {"seed": 0, "id_acc": 0.5, "auroc": 0.75, "aupr": 0.25, "fpr_at_95": 0.0},
+        {"seed": 1, "id_acc": 0.75, "auroc": 0.5, "aupr": 0.5, "fpr_at_95": 0.5},
+    ])
+    assert format_results_table([one, two]) == (
+        "| Method | ID ACC | AUROC | AUPR | FPR@95 |\n"
+        "|---|---|---|---|---|\n"
+        "| energy | 1.0000 | 0.9000 | 0.8000 | 0.1000 |\n"
+        "| msp | 0.6250 ± 0.1768 | 0.6250 ± 0.1768 | 0.3750 ± 0.1768 | 0.2500 ± 0.3536 |\n"
+    )
+
+
+def test_sweep_table_is_pinned(tmp_path, monkeypatch):
+    import goe.harness as hn
+
+    rows = {0: {"id_acc": 0.5, "auroc": 0.625, "aupr": 0.75, "fpr_at_95": 1.0},
+            20: {"id_acc": 0.96875, "auroc": 0.12345, "aupr": 0.0, "fpr_at_95": 0.33333}}
+
+    def fixed(config, total_generated=0):
+        per_seed = [{"seed": 0, **rows[total_generated]},
+                    {"seed": 1, **rows[total_generated]}]
+        return aggregate_report(config.method, "h", per_seed)
+
+    monkeypatch.setattr(hn, "run_experiment", fixed)
+    cfg = ExperimentConfig(dataset_dir="unused", id_classes=[0, 1],
+                           method="goe_generator", output_dir=str(tmp_path))
+    sweep_pseudo_count(cfg, counts=[0, 20])
+    assert (tmp_path / "sweep.md").read_text() == (
+        "| Pseudo-OOD count | ID ACC | AUROC | AUPR | FPR@95 |\n"
+        "|---|---|---|---|---|\n"
+        "| 0 | 0.5000 | 0.6250 | 0.7500 | 1.0000 |\n"
+        "| 20 | 0.9688 | 0.1235 | 0.0000 | 0.3333 |\n"
+    )
+
+
 def test_sweep_count_zero_matches_energy_baseline(dataset_dir, tmp_path):
     cfg = _config(dataset_dir, tmp_path / "sweep", method="goe_generator",
                   seeds=(0,))

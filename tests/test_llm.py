@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from goe.llm import (
     GeneratedNode,
     HashEmbeddingProvider,
     HttpChatClient,
+    HttpEmbeddingProvider,
     MockChatClient,
     PrecomputedEmbeddingProvider,
     PseudoOodSet,
@@ -43,6 +45,9 @@ from goe.llm import (
     _top_k_lowest_id,
 )
 from goe.synthetic import PLANTED_CATEGORIES, CentroidEmbeddingProvider, make_planted_tag
+
+# sha256 of pseudo_ood.json for 60 mock annotations on the seed-0 planted graph
+PSEUDO_SET_SHA256 = "f188b52cfa52804cf7b6397b51c8e405c0d3864ad4dd9bc7d276c2892497e5b4"
 
 
 @pytest.fixture()
@@ -331,6 +336,51 @@ class TestChatCache:
         cache.put(self._record("b"))
         assert len(ChatCache(path)) == 2
 
+    def test_loaded_cache_holds_responses_not_prompts(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        records, prompt_len = 2000, 2000
+        with path.open("w") as fh:
+            for i in range(records):
+                record = self._record(f"{i:05d} " + "p" * prompt_len)
+                record["response"] = f"reply {i}"
+                fh.write(json.dumps(record) + "\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = ChatCache(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == records
+        assert held < records * prompt_len
+
+    def test_put_then_reload_serves_the_same_response(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        record = self._record("long prompt " * 100)
+        cache = ChatCache(path)
+        cache.put(record)
+        assert cache.get(record["key"])["response"] == record["response"]
+        assert json.loads(path.read_text()) == record
+        assert ChatCache(path).get(record["key"])["response"] == record["response"]
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"response": "r"}', "key"),
+        ('{"key": "k"}', "response"),
+        ('{"key": 7, "response": "r"}', "key"),
+        ('{"key": "k", "response": null}', "response"),
+        ('["k", "r"]', "key"),
+    ], ids=["no-key", "no-response", "int-key", "null-response", "not-an-object"])
+    @pytest.mark.parametrize("terminated", [True, False], ids=["inner", "last"])
+    def test_record_without_string_key_or_response_raises(self, tmp_path, line, field,
+                                                           terminated):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps(self._record("a")) + "\n"
+        path.write_text(good + line + "\n" + good if terminated else good + line)
+        with pytest.raises(ValueError) as caught:
+            ChatCache(path)
+        message = str(caught.value)
+        assert message == f"{path}: line 2 is not a chat record: no string {field!r}"
+
 
 class TestIdentify:
     def test_always_none_mock_flags_everything(self, planted_setup, tmp_path):
@@ -428,6 +478,25 @@ class TestIdentify:
         for prompt in returned:
             assert reloaded.get(chat_key(DEFAULT_MODEL, prompt)) is not None
 
+    def test_replay_keeps_the_cache_file_and_pseudo_set_bytes(self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        cache_path = tmp_path / "annotations.jsonl"
+        cold, _ = identify_pseudo_ood(graph, manifest, class_split, split,
+                                      client=MockChatClient(), cache=ChatCache(cache_path),
+                                      sample_size=60, seed=0)
+        save_pseudo_set(cold, tmp_path / "cold.json")
+        logged = cache_path.read_bytes()
+        assert len(logged.splitlines()) == 60
+
+        replayed, _ = identify_pseudo_ood(graph, manifest, class_split, split,
+                                          client=ReplayChatClient(cache_path),
+                                          cache=ChatCache(cache_path), sample_size=60, seed=0)
+        save_pseudo_set(replayed, tmp_path / "replay.json")
+        assert cache_path.read_bytes() == logged
+        pseudo_bytes = (tmp_path / "cold.json").read_bytes()
+        assert (tmp_path / "replay.json").read_bytes() == pseudo_bytes
+        assert hashlib.sha256(pseudo_bytes).hexdigest() == PSEUDO_SET_SHA256
+
     def test_mock_identifier_is_accurate_on_planted_graph(self, planted_setup, tmp_path):
         graph, manifest, class_split, split = planted_setup
         pseudo, annotations = identify_pseudo_ood(
@@ -504,6 +573,37 @@ class TestHttpChatClient:
             self.complete(client)
         assert len(posts) == client.max_attempts == 4
         assert sleeps == [1, 2, 4]
+
+
+class TestHttpEmbeddingProvider:
+    class Reply(TestHttpChatClient.Reply):
+        def json(self):
+            return {"data": [{"index": 1, "embedding": [0.0, 1.0]},
+                             {"index": 0, "embedding": [1.0, 0.0]}]}
+
+    @pytest.mark.parametrize("retry_after", ["7", "Wed, 21 Oct 2015 07:28:00 GMT", None],
+                             ids=["seconds", "http-date", "absent"])
+    def test_rate_limit_waits_as_the_chat_client_does(self, monkeypatch, retry_after):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        chat, _, chat_sleeps = TestHttpChatClient().client(
+            monkeypatch, [self.Reply(429, headers), TestHttpChatClient.Reply(200)])
+        assert chat.complete("m", [{"role": "user", "content": "hi"}]) == "ok"
+
+        posts, sleeps = [], []
+        replies = iter([self.Reply(429, headers), self.Reply(200)])
+
+        def post(url, **kwargs):
+            posts.append((url, kwargs["json"]))
+            return next(replies)
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("goe.llm.time.sleep", sleeps.append)
+        provider = HttpEmbeddingProvider("e", base_url="http://embed.invalid")
+        out = provider.embed(["a", "b"])
+        assert np.array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+        assert posts == [("http://embed.invalid/embeddings",
+                          {"model": "e", "input": ["a", "b"]})] * 2
+        assert sleeps == chat_sleeps and len(sleeps) == 1
 
 
 def test_annotation_accuracy_hand_case():
