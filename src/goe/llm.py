@@ -11,13 +11,16 @@ Chat traffic flows through an append-only jsonl cache keyed by
 hash(model, prompt), so every pipeline can be replayed offline and
 byte-for-byte deterministically. Identification looks every prompt up in the
 calling thread; only the chat calls for misses go to worker threads, at most
-``8 × concurrency`` of them in flight, and the caller appends each record as
-its call completes, with one ``os.write`` under ``flock``.
+``8 × concurrency`` of them in flight. The caller takes their replies in
+submission order and appends each record with one ``os.write`` under
+``flock``, so the log's record order depends only on the sample; a slow
+oldest call holds back new submissions while the other calls run on.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import itertools
 import json
@@ -28,7 +31,8 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,8 +60,7 @@ _IDENTIFICATION_TEMPLATE = (
     "[{categories}]\n\n"
     "Given the current possible categories, determine if it belongs to one of them. "
     "If so, specify that category; otherwise, say \"none\".\n\n"
-    "{content}"
-)
+)  # the node text follows
 
 _GENERATION_TEMPLATE = (
     "Please generate {count} {object}(s) belonging to the category "
@@ -218,8 +221,9 @@ def _default_mock_reply(prompt: str) -> str:
     marker = 'say "none".'
     content = prompt.rsplit(marker, 1)[-1] if marker in prompt else prompt
     if bracket:
+        content = content.lower()
         for name in (c.strip() for c in bracket.group(1).split(",")):
-            if name and name.lower() in content.lower():
+            if name and name.lower() in content:
                 return name
     return "none"
 
@@ -347,13 +351,28 @@ def build_identification_prompt(node_text: str, id_category_names: list[str],
                                 object_kind: str) -> str:
     if not node_text:
         raise ValueError("empty node text")
+    return _identification_head(id_category_names, object_kind) + node_text
+
+
+def _identification_head(id_category_names: list[str], object_kind: str) -> str:
+    """The part of every identification prompt that precedes the node text."""
     if not id_category_names:
         raise ValueError("empty category list")
-    return _IDENTIFICATION_TEMPLATE.format(
-        object=object_kind,
-        categories=", ".join(id_category_names),
-        content=node_text,
-    )
+    return _IDENTIFICATION_TEMPLATE.format(object=object_kind,
+                                           categories=", ".join(id_category_names))
+
+
+def _prefix_keyer(model: str, head: str):
+    """``key(text) == chat_key(model, head + text)``, hashing ``model`` and ``head`` once."""
+    base = hashlib.sha256(f"{model}\x00{head}".encode("utf-8"))
+
+    def key(text: str) -> str:
+        if not text:
+            raise ValueError("empty node text")
+        h = base.copy()
+        h.update(text.encode("utf-8"))
+        return h.hexdigest()
+    return key
 
 
 def _normalize(text: str) -> str:
@@ -373,8 +392,8 @@ def parse_identification_response(raw: str, id_category_names: list[str],
     norm = _normalize(raw)
     if "none" in norm.split():
         return PARSED_OOD, None
-    matches = [i for i, name in enumerate(id_category_names)
-               if _normalize(name) and _normalize(name) in norm]
+    names = map(_normalize, id_category_names)
+    matches = [i for i, name in enumerate(names) if name and name in norm]
     if len(matches) == 1:
         return PARSED_ID, matches[0]
     return PARSED_UNPARSEABLE, None
@@ -413,41 +432,42 @@ def _complete_misses(client, model: str, misses: list[tuple[int, str, str]],
                      on_response, *, workers: int) -> None:
     """Run the chat call of each ``(index, key, prompt)`` miss on worker threads.
 
-    At most ``8 × workers`` calls are in flight: one new call is submitted
-    as each one completes. ``on_response(miss, response)`` runs in the
-    calling thread, in completion order. If a call raises, the calls not yet
-    started are cancelled, the running ones are waited for and their
-    responses passed on, and then the first error is raised.
+    At most ``8 × workers`` calls are in flight. The calling thread waits for
+    the oldest, runs ``on_response(miss, response)`` and only then submits
+    the next miss, so responses arrive in the order of ``misses`` whatever
+    the timing. The price is head-of-line waiting: a slow oldest call holds
+    back new submissions, though the calls already queued keep running. If a
+    call raises, the calls not yet started are cancelled, the replies of
+    calls already running are still passed on, and the first error is raised.
     """
     todo = iter(misses)
-    pending: dict = {}
+    window: deque = deque()
     error: Exception | None = None
     with ThreadPoolExecutor(max_workers=workers) as executor:
         def submit(miss: tuple[int, str, str]) -> None:
             messages = [{"role": "user", "content": miss[2]}]
-            pending[executor.submit(client.complete, model, messages,
-                                    temperature=IDENTIFY_TEMPERATURE,
-                                    max_tokens=IDENTIFY_MAX_TOKENS)] = miss
+            window.append((executor.submit(client.complete, model, messages,
+                                           temperature=IDENTIFY_TEMPERATURE,
+                                           max_tokens=IDENTIFY_MAX_TOKENS), miss))
 
         try:
             for miss in itertools.islice(todo, 8 * workers):
                 submit(miss)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                # failures first: no success in the same batch may submit a call
-                failures = [f.exception() for f in done if f.exception() is not None]
-                if failures and error is None:
-                    error = failures[0]
-                    for queued in [f for f in pending if f.cancel()]:
-                        del pending[queued]
-                for fut in done:
-                    miss = pending.pop(fut)
-                    if fut.exception() is None:
-                        on_response(miss, fut.result())
-                        if error is None and (miss := next(todo, None)) is not None:
-                            submit(miss)
+            while window:
+                fut, miss = window.popleft()
+                try:
+                    response = fut.result()
+                except Exception as exc:  # a call cancelled below raises CancelledError
+                    if error is None:
+                        error = exc
+                        for queued, _ in window:
+                            queued.cancel()
+                    continue
+                on_response(miss, response)
+                if error is None and (miss := next(todo, None)) is not None:
+                    submit(miss)
         finally:
-            for fut in pending:
+            for fut, _ in window:
                 fut.cancel()
     if error is not None:
         raise error
@@ -468,15 +488,17 @@ def identify_pseudo_ood(
 ) -> tuple[PseudoOodSet, list[LlmAnnotation]]:
     """Sample unlabeled nodes, annotate them, keep the ones marked OOD.
 
-    The calling thread builds every prompt and its key and looks it up in the
-    cache, so hits never reach a worker thread. Only the chat calls for the
-    misses run on ``concurrency`` threads, with at most ``8 × concurrency``
-    in flight. The caller parses each response once and appends each miss's
-    record as its call completes, so records land in completion order, each
-    with one ``os.write`` under ``flock``. If a call raises, the calls not yet
-    started are cancelled, the responses of calls already running are still
-    written, and the error is re-raised. Repeated runs over the same cache
-    are deterministic, and annotations come back in node-id order.
+    The calling thread keys every node and looks it up in the cache, so hits
+    never reach a worker thread; the prompt head all nodes share is hashed
+    once, and a full prompt is built only for a miss. Only the chat calls for
+    the misses run on ``concurrency`` threads, at most ``8 × concurrency``
+    in flight (``_complete_misses``). The caller takes their replies in
+    submission order and appends each record with one ``os.write`` under
+    ``flock``, so records land in sample order at any concurrency; the cost
+    is that a slow oldest call holds back new submissions. Each distinct
+    response is parsed once. If a call raises, the calls not yet started are
+    cancelled, the responses of calls already running are still written, and
+    the error is re-raised. Annotations come back in node-id order.
     """
     pool = annotation_pool(graph, split)
     if len(pool) < sample_size:
@@ -488,21 +510,24 @@ def identify_pseudo_ood(
 
     id_names = [manifest.category_names[c] for c in class_split.id_classes]
     annotations: list[LlmAnnotation] = [None] * len(sample)
+    parse = functools.cache(lambda response: parse_identification_response(response,
+                                                                           id_names))
 
     def annotate(i: int, response: str) -> LlmAnnotation:
-        kind, idx = parse_identification_response(response, id_names)
+        kind, idx = parse(response)
         annotations[i] = LlmAnnotation(node_id=int(sample[i]), raw_response=response,
                                        parsed=kind, category_index=idx)
         return annotations[i]
 
+    head = _identification_head(id_names, manifest.object_kind)
+    key_of = _prefix_keyer(model, head)
     misses = []
     for i, node_id in enumerate(sample):
-        prompt = build_identification_prompt(graph.texts[node_id], id_names,
-                                             manifest.object_kind)
-        key = chat_key(model, prompt)
+        text = graph.texts[node_id]
+        key = key_of(text)
         hit = None if cache is None else cache.get(key)
         if hit is None:
-            misses.append((i, key, prompt))
+            misses.append((i, key, head + text))
         else:
             annotate(i, hit["response"])
 

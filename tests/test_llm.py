@@ -1,10 +1,12 @@
 """Prompts, response parsing, caches, identification/generation, augmentation."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -42,6 +44,9 @@ from goe.llm import (
     save_generated,
     save_pseudo_set,
     text_key,
+    _complete_misses,
+    _identification_head,
+    _prefix_keyer,
     _top_k_lowest_id,
 )
 from goe.synthetic import PLANTED_CATEGORIES, CentroidEmbeddingProvider, make_planted_tag
@@ -74,6 +79,33 @@ class TestIdentificationPrompt:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="empty node text"):
             build_identification_prompt("", ["A", "B"], "paper")
+
+    # braces, quotes, newlines, non-ASCII and astral characters
+    TRICKY_PIECES = st.one_of(
+        st.sampled_from(['{', '}', '{content}', '"', "'", '\\', '\n', '\r\n', '\x00']),
+        st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+        st.characters(min_codepoint=0x10000),
+    )
+    TRICKY_TEXT = st.lists(TRICKY_PIECES, min_size=1).map("".join)
+
+    @given(text=TRICKY_TEXT,
+           names=st.lists(TRICKY_TEXT, min_size=1, max_size=4),
+           kind=st.sampled_from(["paper", "article", "post {x}"]),
+           model=st.lists(TRICKY_PIECES, max_size=8).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_key_equals_the_full_prompt_key(self, text, names, kind, model):
+        key = _prefix_keyer(model, _identification_head(names, kind))
+        assert key(text) == chat_key(model, build_identification_prompt(text, names, kind))
+
+    def test_prefix_key_rejects_empty_text(self, planted_setup):
+        key = _prefix_keyer(DEFAULT_MODEL, _identification_head(["A", "B"], "paper"))
+        with pytest.raises(ValueError, match="empty node text"):
+            key("")
+        graph, manifest, class_split, split = planted_setup
+        blank = dataclasses.replace(graph, texts=[""] * graph.node_count)
+        with pytest.raises(ValueError, match="empty node text"):
+            identify_pseudo_ood(blank, manifest, class_split, split,
+                                client=MockChatClient(), cache=None, sample_size=5, seed=0)
 
 
 class TestGenerationPrompt:
@@ -477,6 +509,67 @@ class TestIdentify:
         reloaded = ChatCache(cache_path)
         for prompt in returned:
             assert reloaded.get(chat_key(DEFAULT_MODEL, prompt)) is not None
+
+    def test_cold_log_holds_records_in_sample_order_at_any_concurrency(
+            self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        mock = MockChatClient()
+
+        class JitteredClient:
+            """Replies after a delay set by the prompt, so calls finish out of order."""
+
+            def complete(self, model, messages, **kwargs):
+                prompt = messages[-1]["content"]
+                time.sleep(int(hashlib.sha256(prompt.encode()).hexdigest(), 16) % 4 / 1000)
+                return mock.complete(model, messages, **kwargs)
+
+        logs = []
+        for concurrency in (1, 4):
+            path = tmp_path / f"c{concurrency}.jsonl"
+            _, annotations = identify_pseudo_ood(
+                graph, manifest, class_split, split, client=JitteredClient(),
+                cache=ChatCache(path), sample_size=60, seed=0, concurrency=concurrency)
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for rec in records:
+                del rec["timestamp"]
+            assert [rec["node_id"] for rec in records] == [a.node_id for a in annotations]
+            logs.append(records)
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocked_oldest_call_neither_deadlocks_nor_widens_the_window(self, workers):
+        window = 8 * workers
+        lock = threading.Lock()
+        started, others_started = [], threading.Event()
+        waited = []
+
+        class HeadBlockedClient:
+            """The first call returns only once ``window - 1`` other calls have started."""
+
+            def complete(self, model, messages, **kwargs):
+                with lock:
+                    started.append(messages[-1]["content"])
+                    number = len(started)
+                if number == window:
+                    others_started.set()
+                if number == 1:
+                    waited.append(others_started.wait(timeout=10))
+                return messages[-1]["content"]
+
+        misses = [(i, f"key{i}", f"prompt {i}") for i in range(5 * window)]
+        seen = []
+
+        def on_response(miss, response):
+            with lock:
+                seen.append((miss[0], response, len(started)))
+
+        _complete_misses(HeadBlockedClient(), DEFAULT_MODEL, misses, on_response,
+                         workers=workers)
+        assert waited == [True]
+        assert [(i, response) for i, response, _ in seen] == \
+            [(i, prompt) for i, _, prompt in misses]
+        # nothing is submitted while the oldest call blocks the window
+        assert seen[0][2] == window
 
     def test_replay_keeps_the_cache_file_and_pseudo_set_bytes(self, planted_setup, tmp_path):
         graph, manifest, class_split, split = planted_setup
