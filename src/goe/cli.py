@@ -38,22 +38,18 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _client_settings(mock: bool, replay: str | None, remote: bool) -> tuple[str, str | None]:
-    # --mock is the default; the flag exists so scripts can be explicit.
-    if replay:
-        return "replay", replay
-    if remote:
-        return "remote", None
-    return "mock", None
+def _llm_settings(replay: str | None, remote: bool, **fields) -> harness.LlmSettings:
+    """The llm settings with the chat client the flags name. --mock is the
+    default; the flag exists so scripts can be explicit."""
+    client = "replay" if replay else ("remote" if remote else "mock")
+    return harness.LlmSettings(client=client, replay_path=replay, **fields)
 
 
-def _chat(directory: Path, mock: bool, replay: str | None, remote: bool,
-          cache: str | None) -> tuple:
+def _chat(directory: Path, replay: str | None, remote: bool, cache: str | None) -> tuple:
     """The chat client the flags name and the chat cache (default in ``directory``)."""
-    client_kind, replay_path = _client_settings(mock, replay, remote)
     config = harness.ExperimentConfig(   # only the dataset and the llm settings are read
         dataset_dir=str(directory), id_classes=[], method="energy", output_dir=str(directory),
-        llm=harness.LlmSettings(client=client_kind, replay_path=replay_path, chat_cache=cache))
+        llm=_llm_settings(replay, remote, chat_cache=cache))
     return harness.build_chat_client(config), llm.ChatCache(harness.default_cache_path(config))
 
 
@@ -155,7 +151,7 @@ def annotate(directory: str, sample: int, id_classes: str | None, seed: int | No
     class_split = make_class_split(graph.labels, classes)
     seed = split.seed if seed is None else seed
 
-    client, chat_cache = _chat(directory, mock, replay, remote, cache)
+    client, chat_cache = _chat(directory, replay, remote, cache)
     pseudo, annotations = llm.identify_pseudo_ood(
         graph, manifest, class_split, split,
         client=client, cache=chat_cache, sample_size=sample, seed=seed,
@@ -183,7 +179,7 @@ def generate(directory: str, per_class: int, id_classes: str | None, mock: bool,
     class_split = make_class_split(graph.labels, classes)
     ood_names = [manifest.category_names[c] for c in class_split.ood_classes]
 
-    client, chat_cache = _chat(directory, mock, replay, remote, cache)
+    client, chat_cache = _chat(directory, replay, remote, cache)
     nodes, warnings = llm.generate_pseudo_ood(
         ood_names, per_class=per_class, object_kind=manifest.object_kind,
         client=client, cache=chat_cache, model=model,
@@ -226,38 +222,44 @@ def _train_options(fn):
     return fn
 
 
-def _build_config(directory: Path, classes: list[int], method: str, seeds: list[int],
-                  out: str, *, mock, replay, remote, model, cache, hidden_dim,
-                  learning_rate, dropout, weight_decay, max_epochs, patience,
-                  margin_id, margin_ood, exposure_weight, provider, provider_path,
-                  pseudo_source, pseudo_val, sample, per_class,
-                  split=None) -> harness.ExperimentConfig:
-    client_kind, replay_path = _client_settings(mock, replay, remote)
-    train_cfg = gcn.TrainConfig(
-        hidden_dim=hidden_dim, learning_rate=learning_rate, dropout=dropout,
-        weight_decay=weight_decay, max_epochs=max_epochs, patience=patience,
-        margin_id=margin_id, margin_ood=margin_ood,
-    )
-    weights = [exposure_weight] if exposure_weight is not None else [0.01, 0.05]
-    sizes = {}
-    if split is not None:
+def _run_config(directory: Path, split, classes: list[int], method: str, seeds: list[int],
+                out: str, config_path: str | None, flags: dict) -> harness.ExperimentConfig:
+    """The ``--config`` file if one is given, else the flags. A config file must
+    name the ID classes the run trains on (from split.json or ``--id-classes``)."""
+    if config_path:
+        try:
+            config = harness.ExperimentConfig.from_json(config_path)
+        except ValueError as exc:
+            raise click.ClickException(f"{config_path}: {exc}") from None
+        if config.id_classes != classes:
+            raise click.ClickException(
+                f"{config_path} has id_classes {config.id_classes}, but the run trains "
+                f"on {classes} from split.json or --id-classes")
+        config.dataset_dir = str(directory)
+    else:
+        train_cfg = gcn.TrainConfig(
+            hidden_dim=flags["hidden_dim"], learning_rate=flags["learning_rate"],
+            dropout=flags["dropout"], weight_decay=flags["weight_decay"],
+            max_epochs=flags["max_epochs"], patience=flags["patience"],
+            margin_id=flags["margin_id"], margin_ood=flags["margin_ood"],
+        )
+        weight = flags["exposure_weight"]
         k = len(classes)
-        sizes = {
-            "train_per_class": len(split.train_id) // k,
-            "val_per_class": len(split.val_id) // k,
-            "test_id_size": len(split.test_id),
-            "test_ood_size": len(split.test_ood),
-        }
-    return harness.ExperimentConfig(
-        dataset_dir=str(directory), id_classes=classes, method=method,
-        output_dir=out, seeds=seeds, train=train_cfg,
-        llm=harness.LlmSettings(client=client_kind, replay_path=replay_path,
-                                model=model, chat_cache=cache,
-                                sample_size=sample, per_class=per_class,
-                                provider=provider, provider_path=provider_path),
-        exposure_weights=weights, pseudo_source=pseudo_source,
-        pseudo_validation=pseudo_val, **sizes,
-    )
+        config = harness.ExperimentConfig(
+            dataset_dir=str(directory), id_classes=classes, method=method,
+            output_dir=out, train=train_cfg,
+            llm=_llm_settings(flags["replay"], flags["remote"], model=flags["model"],
+                              chat_cache=flags["cache"], sample_size=flags["sample"],
+                              per_class=flags["per_class"], provider=flags["provider"],
+                              provider_path=flags["provider_path"]),
+            exposure_weights=[weight] if weight is not None else [0.01, 0.05],
+            pseudo_source=flags["pseudo_source"], pseudo_validation=flags["pseudo_val"],
+            train_per_class=len(split.train_id) // k, val_per_class=len(split.val_id) // k,
+            test_id_size=len(split.test_id), test_ood_size=len(split.test_ood),
+        )
+    config.method, config.seeds, config.output_dir = method, seeds, out
+    config.validate()
+    return config
 
 
 @main.command()
@@ -280,34 +282,16 @@ def train(directory: str, method: str, seed: int | None, out: str | None,
     split, classes = _load_split_or_fail(directory, id_classes)
     seed = split.seed if seed is None else seed
     out = out or str(directory / "runs" / method)
-
-    if config_path:
-        config = harness.ExperimentConfig.from_json(config_path)
-        config.dataset_dir = str(directory)
-        config.method = method
-        config.output_dir = out
-    else:
-        config = _build_config(directory, classes, method, [seed], out,
-                               split=split, **flags)
-    config.seeds = [seed]
-    config.validate()
+    config = _run_config(directory, split, classes, method, [seed], out, config_path, flags)
 
     graph, manifest = load_dataset(directory)
     class_split = make_class_split(graph.labels, classes)
     outcome = harness.run_seed(graph, manifest, class_split, config, seed,
                                split=split)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = harness.aggregate_report(method, config.config_hash(),
-                                      [outcome.record])
-    harness.write_report(report, out_dir / "report.json")
-    harness.write_scores_csv(outcome.test_rows, out_dir / "scores.csv")
-    run_record = {"config": config.to_dict(),
-                  "environment": harness.environment_info()}
-    (out_dir / "config.json").write_text(
-        json.dumps(run_record, sort_keys=True, indent=2) + "\n")
-    if outcome.params is not None:
-        gcn.save_params(outcome.params, out_dir / "params.bin")
+    harness.write_scores_csv(outcome.test_rows, out_dir / "scores.csv")   # makes out_dir
+    gcn.save_params(outcome.params, out_dir / "params.bin")
+    harness.write_run(out_dir, config, [outcome.record], ["scores.csv", "params.bin"])
     rec = outcome.record
     click.echo(f"{method} seed {seed}: id_acc {rec['id_acc']:.4f} "
                f"auroc {rec['auroc']:.4f} aupr {rec['aupr']:.4f} "
@@ -315,18 +299,21 @@ def train(directory: str, method: str, seed: int | None, out: str | None,
     click.echo(f"run artifacts in {out_dir}")
 
 
+def _score_files(run_dir: Path) -> list[Path]:
+    """A run's score files: `goe train`'s flat scores.csv, then seed-*/scores.csv."""
+    flat = run_dir / "scores.csv"
+    files = ([flat] if flat.exists() else []) + sorted(run_dir.glob("seed-*/scores.csv"))
+    if not files:
+        raise click.ClickException(f"no scores.csv under {run_dir}")
+    return files
+
+
 @main.command("eval")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def eval_cmd(run_dir: str):
     """Recompute metrics from the score files of a finished run."""
     run_dir = Path(run_dir)
-    score_files = sorted(run_dir.glob("seed-*/scores.csv"))
-    flat = run_dir / "scores.csv"
-    if flat.exists():
-        score_files.insert(0, flat)
-    if not score_files:
-        raise click.ClickException(f"no scores.csv under {run_dir}")
-    for path in score_files:
+    for path in _score_files(run_dir):
         rows = harness.read_scores_csv(path)
         id_scores = np.array([r["score"] for r in rows if not r["is_ood_truth"]])
         ood_scores = np.array([r["score"] for r in rows if r["is_ood_truth"]])
@@ -364,15 +351,8 @@ def compare(directory: str, methods: str, seeds: str, out: str | None,
 
     reports = []
     for method in method_list:
-        if config_path:
-            config = harness.ExperimentConfig.from_json(config_path)
-            config.dataset_dir = str(directory)
-        else:
-            config = _build_config(directory, classes, method, seed_list,
-                                   str(Path(out) / method), split=split, **flags)
-        config.method = method
-        config.seeds = seed_list
-        config.output_dir = str(Path(out) / method)
+        config = _run_config(directory, split, classes, method, seed_list,
+                             str(Path(out) / method), config_path, flags)
         reports.append(harness.run_experiment(config))
         mean = reports[-1].mean
         click.echo(f"{method}: auroc {mean['auroc']:.4f} id_acc {mean['id_acc']:.4f}")
@@ -401,15 +381,8 @@ def sweep_count(directory: str, counts: str, seeds: str, out: str | None,
     seed_list = _parse_int_list(seeds)
     count_list = _parse_int_list(counts)
     out = out or str(directory / "runs" / "sweep-count")
-
-    if config_path:
-        config = harness.ExperimentConfig.from_json(config_path)
-        config.dataset_dir = str(directory)
-    else:
-        config = _build_config(directory, classes, "goe_generator", seed_list,
-                               out, split=split, **flags)
-    config.seeds = seed_list
-    config.output_dir = out
+    config = _run_config(directory, split, classes, "goe_generator", seed_list, out,
+                         config_path, flags)
     rows = harness.sweep_pseudo_count(config, count_list)
     for row in rows:
         click.echo(f"count {row['count']:>3}: auroc {row['auroc']:.4f} "
@@ -423,10 +396,7 @@ def sweep_count(directory: str, counts: str, seeds: str, out: str | None,
 def export_scores(run_dir: str, bins: int):
     """Export per-group score histograms (hist.csv) from a run's scores."""
     run_dir = Path(run_dir)
-    candidates = [run_dir / "scores.csv"] + sorted(run_dir.glob("seed-*/scores.csv"))
-    source = next((p for p in candidates if p.exists()), None)
-    if source is None:
-        raise click.ClickException(f"no scores.csv under {run_dir}")
+    source = _score_files(run_dir)[0]
     out_path = run_dir / "hist.csv"
     harness.export_histogram(source, out_path, bins=bins)
     click.echo(f"histogram ({bins} bins) from {source} -> {out_path}")

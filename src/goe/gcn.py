@@ -377,6 +377,8 @@ class TrainConfig:
     learning_rate: float = 0.01
     dropout: float = 0.5
     weight_decay: float = 5e-4
+    # Read by nothing: runs take their weights from ExperimentConfig.exposure_weights.
+    # It stays because config_hash covers it, so removing it would move every hash.
     exposure_weight: float = 0.05
     margin_id: float = -5.0
     margin_ood: float = -1.0
@@ -400,15 +402,39 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
+        return cls(**known_keys(cls, data, "train"))
+
+
+def known_keys(cls, data: dict, section: str) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``; an unknown key fails."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown {section} key {key!r}")
+    return data
 
 
 @dataclass
 class TrainResult:
-    params: GcnParams
-    history: list[dict]
-    best_epoch: int
-    best_val_score: float
+    """The best epoch's parameters (``GcnParams``, or a binary head's weight
+    vector), the per-epoch history, and the early-stopping state."""
+
+    params: GcnParams | np.ndarray
+    history: list[dict] = dataclasses.field(default_factory=list)
+    best_epoch: int = 0
+    best_val_score: float = -np.inf
+    bad_epochs: int = 0   # consecutive epochs since the best
+
+    def record(self, entry: dict, snapshot: Callable[[], GcnParams | np.ndarray]) -> None:
+        """Log one epoch; keep ``snapshot()`` if its val score beats every earlier one."""
+        self.history.append(entry)
+        if entry["val_score"] > self.best_val_score:
+            self.best_val_score = entry["val_score"]
+            self.params = snapshot()
+            self.best_epoch = entry["epoch"]
+            self.bad_epochs = 0
+        else:
+            self.bad_epochs += 1
 
 
 def _take_blocks(tensors: dict, blocks: np.ndarray, hidden: int, out: int) -> dict:
@@ -493,8 +519,7 @@ def train_classifier(
     state = init_adam(params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_STREAM_DROPOUT,)))
 
-    results = [TrainResult(single.copy(), [], best_epoch=0, best_val_score=-np.inf) for _ in specs]
-    bad_epochs = [0] * count
+    results = [TrainResult(single.copy()) for _ in specs]
     active = list(range(count))  # the spec of each block in the stack
 
     for epoch in range(1, config.max_epochs + 1):
@@ -522,21 +547,13 @@ def train_classifier(
                                          alpha=prop_alpha, iterations=prop_iterations)
             val_acc = metrics.id_accuracy(block, val_labels, val_id, id_class_count=id_class_count)
             val_auroc = metrics.auroc(scores[val_id], scores[val_ood])
-            val_score = val_acc + val_auroc
-            result = results[i]
-            result.history.append({"epoch": epoch, "loss": losses[pos], "val_acc": val_acc,
-                                   "val_auroc": val_auroc, "val_score": val_score})
-            if val_score > result.best_val_score:
-                result.best_val_score = val_score
-                result.params = GcnParams(**_take_blocks(params.tensors(), np.array([pos]),
-                                                         hidden, out))
-                result.best_epoch = epoch
-                bad_epochs[i] = 0
-            else:
-                bad_epochs[i] += 1
+            results[i].record(
+                {"epoch": epoch, "loss": losses[pos], "val_acc": val_acc,
+                 "val_auroc": val_auroc, "val_score": val_acc + val_auroc},
+                lambda: GcnParams(**_take_blocks(params.tensors(), np.array([pos]), hidden, out)))
 
         going = np.array([pos for pos, i in enumerate(active)
-                          if bad_epochs[i] < config.patience], dtype=np.int64)
+                          if results[i].bad_epochs < config.patience], dtype=np.int64)
         if going.size == 0:
             break
         if going.size < len(active):
@@ -547,14 +564,6 @@ def train_classifier(
     return results[0] if isinstance(spec, ObjectiveSpec) else results
 
 
-@dataclass
-class BinaryHeadResult:
-    weights: np.ndarray
-    history: list[dict]
-    best_epoch: int
-    best_val_score: float
-
-
 def train_binary_head(
     hidden: np.ndarray,
     id_ids: np.ndarray,
@@ -563,11 +572,12 @@ def train_binary_head(
     config: TrainConfig,
     *,
     backbone_val_acc: float,
-) -> BinaryHeadResult:
+) -> TrainResult:
     """Fit a linear OOD head on frozen hidden features.
 
     The backbone's validation accuracy is constant during this stage, so the
     early-stopping criterion reduces to validation AUROC plus that constant.
+    The result's ``params`` is the best epoch's head weight vector.
     """
     config.validate()
     id_ids = np.asarray(id_ids)
@@ -580,12 +590,7 @@ def train_binary_head(
     limit = np.sqrt(6.0 / (h + 1))
     weights = {"w": rng.uniform(-limit, limit, size=h)}
     state = init_adam(weights)
-
-    best_score = -np.inf
-    best_w = weights["w"].copy()
-    best_epoch = 0
-    bad_epochs = 0
-    history: list[dict] = []
+    result = TrainResult(weights["w"].copy())
 
     for epoch in range(1, config.max_epochs + 1):
         z = hidden @ weights["w"]
@@ -597,22 +602,13 @@ def train_binary_head(
 
         scores = scoring.binary_head_score(hidden, weights["w"])
         val_auroc = metrics.auroc(scores[split.val_id], scores[split.val_ood])
-        val_score = backbone_val_acc + val_auroc
-        history.append({"epoch": epoch, "loss": loss,
-                        "val_auroc": val_auroc, "val_score": val_score})
-
-        if val_score > best_score:
-            best_score = val_score
-            best_w = weights["w"].copy()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if bad_epochs >= config.patience:
+        result.record({"epoch": epoch, "loss": loss, "val_auroc": val_auroc,
+                       "val_score": backbone_val_acc + val_auroc},
+                      lambda: weights["w"].copy())
+        if result.bad_epochs >= config.patience:
             break
 
-    return BinaryHeadResult(weights=best_w, history=history,
-                            best_epoch=best_epoch, best_val_score=best_score)
+    return result
 
 
 def save_params(params: GcnParams, path: Path | str) -> None:

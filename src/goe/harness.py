@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gcn, llm, metrics, scoring
-from .gcn import TrainConfig
+from .gcn import TrainConfig, known_keys
 from .graph import (
     STREAM_HEAD_BALANCE,
     STREAM_PSEUDO_VAL,
@@ -37,10 +37,34 @@ from .graph import (
 from .objectives import EXPOSURE, KPLUS1, SUPERVISED, ObjectiveSpec
 from .synthetic import CentroidEmbeddingProvider
 
-BASELINE_METHODS = ("msp", "entropy", "energy", "energy_prop")
-EXPOSURE_METHODS = ("goe_identifier", "goe_generator")
-SYNTHETIC_MODEL_METHODS = ("kplus1", "binary_head")
-ALL_METHODS = BASELINE_METHODS + EXPOSURE_METHODS + SYNTHETIC_MODEL_METHODS
+
+@dataclass(frozen=True)
+class Method:
+    """One method's training objective (KPLUS1 has K+1 outputs), the scorer
+    that picks its best epoch and scores the test nodes (a binary head on the
+    frozen backbone scores them when ``head`` is set), and its pseudo-OOD
+    source (None: ``ExperimentConfig.pseudo_source``)."""
+
+    objective: str
+    scorer: str
+    pseudo_source: str | None = None
+    head: bool = False
+
+
+METHODS = {
+    "msp": Method(SUPERVISED, "msp"),
+    "entropy": Method(SUPERVISED, "entropy"),
+    "energy": Method(SUPERVISED, "energy"),
+    "energy_prop": Method(SUPERVISED, "energy_prop"),
+    # both exposure pipelines score with plain energy
+    "goe_identifier": Method(EXPOSURE, "energy", pseudo_source="identifier"),
+    "goe_generator": Method(EXPOSURE, "energy", pseudo_source="generator"),
+    "kplus1": Method(KPLUS1, "kplus1"),
+    # binary_head keeps the energy method's backbone
+    "binary_head": Method(SUPERVISED, "energy", head=True),
+}
+ALL_METHODS = tuple(METHODS)
+EXPOSURE_METHODS = tuple(name for name, row in METHODS.items() if row.objective == EXPOSURE)
 
 METRIC_NAMES = ("id_acc", "auroc", "aupr", "fpr_at_95")
 METRIC_HEADERS = ("ID ACC", "AUROC", "AUPR", "FPR@95")
@@ -64,7 +88,7 @@ class LlmSettings:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LlmSettings":
-        return cls(**{k: data[k] for k in dataclasses.asdict(cls()) if k in data})
+        return cls(**known_keys(cls, data, "llm"))
 
 
 @dataclass
@@ -103,9 +127,7 @@ class ExperimentConfig:
         data = dict(data)
         train = TrainConfig.from_dict(data.pop("train", {}))
         settings = LlmSettings.from_dict(data.pop("llm", {}))
-        defaults = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in defaults}
-        return cls(train=train, llm=settings, **kwargs)
+        return cls(train=train, llm=settings, **known_keys(cls, data, "top-level"))
 
     @classmethod
     def from_json(cls, path: Path | str) -> "ExperimentConfig":
@@ -128,15 +150,9 @@ class EvalReport:
     std: dict[str, float] | None
 
     def to_dict(self) -> dict:
-        data = {
-            "method": self.method,
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "per_seed": self.per_seed,
-            "mean": self.mean,
-        }
-        if self.std is not None:
-            data["std"] = self.std
+        data = dataclasses.asdict(self)
+        if self.std is None:
+            del data["std"]
         return data
 
 
@@ -233,13 +249,7 @@ def build_pseudo_supervision(
     Identifier mode leaves the graph untouched; generator mode returns the
     augmented graph with generated nodes appended.
     """
-    if config.method == "goe_identifier":
-        source = "identifier"
-    elif config.method == "goe_generator":
-        source = "generator"
-    else:
-        source = config.pseudo_source
-
+    source = METHODS[config.method].pseudo_source or config.pseudo_source
     client = build_chat_client(config)
     cache = llm.ChatCache(default_cache_path(config))
 
@@ -286,19 +296,12 @@ def build_pseudo_supervision(
 # Single-seed run
 # ---------------------------------------------------------------------------
 
-def _scorer_for_method(method: str) -> str:
-    if method in scoring.METHOD_TAGS:
-        return method
-    # both exposure pipelines score with plain energy
-    return "energy"
-
-
 @dataclass
 class SeedOutcome:
     record: dict
     scores: np.ndarray       # per-node scores on the work graph
     test_rows: list[dict]    # scores.csv rows for the test nodes
-    params: gcn.GcnParams | None = None
+    params: gcn.GcnParams
     head_weights: np.ndarray | None = None
 
 
@@ -325,7 +328,8 @@ def run_seed(
             test_ood_size=config.test_ood_size,
         )
 
-    needs_pseudo = config.method in EXPOSURE_METHODS + SYNTHETIC_MODEL_METHODS
+    method = METHODS[config.method]
+    needs_pseudo = method.objective != SUPERVISED or method.head
     if needs_pseudo and pseudo is None:
         pseudo, work_graph = build_pseudo_supervision(
             graph, manifest, class_split, split, config,
@@ -352,40 +356,33 @@ def run_seed(
     labels = class_split.compact_labels(work_graph.labels)
     features = work_graph.embeddings.astype(np.float64)
     adjacency = normalize_adjacency(work_graph)
-    scorer = _scorer_for_method(config.method)
     row_stochastic = (row_stochastic_adjacency(work_graph)
-                      if scorer == "energy_prop" else None)
+                      if method.scorer == "energy_prop" else None)
 
     k = class_split.num_id_classes
     train_cfg = dataclasses.replace(config.train, seed=seed)
 
-    if config.method in EXPOSURE_METHODS:
-        spec = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=weight,
-                              margin_id=train_cfg.margin_id,
-                              margin_ood=train_cfg.margin_ood,
-                              pseudo_ood_ids=train_pseudo, val_scorer=scorer)
-                for weight in config.exposure_weights]
-    elif config.method == "kplus1":
-        spec = ObjectiveSpec(kind=KPLUS1, pseudo_ood_ids=train_pseudo, val_scorer=scorer)
-    else:
-        # binary_head keeps the energy method's backbone; its head is fitted below
-        spec = ObjectiveSpec(kind=SUPERVISED,
-                             val_scorer="energy" if config.method == "binary_head" else scorer)
+    # one spec per exposure weight, trained as one stacked model; other
+    # objectives train one spec and record no weight
+    weights = config.exposure_weights if method.objective == EXPOSURE else [None]
+    specs = [ObjectiveSpec(kind=method.objective, exposure_weight=weight or 0.0,
+                           margin_id=train_cfg.margin_id, margin_ood=train_cfg.margin_ood,
+                           pseudo_ood_ids=None if method.objective == SUPERVISED else train_pseudo,
+                           val_scorer=method.scorer)
+             for weight in weights]
     trained = gcn.train_classifier(
-        features, adjacency, labels, val_split, train_cfg, spec,
-        output_dim=k + 1 if config.method == "kplus1" else k, id_class_count=k,
+        features, adjacency, labels, val_split, train_cfg, specs,
+        output_dim=k + 1 if method.objective == KPLUS1 else k, id_class_count=k,
         row_stochastic=row_stochastic,
         prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
     )
-    chosen_weight, train_result, head_weights = None, trained, None
-    if isinstance(trained, list):
-        # max keeps the first of equal scores: the earliest weight wins ties
-        chosen_weight, train_result = max(zip(config.exposure_weights, trained),
-                                          key=lambda pair: pair[1].best_val_score)
+    # max keeps the first of equal scores: the earliest weight wins ties
+    chosen_weight, train_result = max(zip(weights, trained),
+                                      key=lambda pair: pair[1].best_val_score)
 
     trace = gcn.forward(train_result.params, adjacency, features)
-    head_result = None
-    if config.method == "binary_head":
+    head_result = head_weights = None
+    if method.head:
         rng = stream_rng(seed, STREAM_HEAD_BALANCE)
         n_use = min(len(split.train_id), len(train_pseudo))
         if n_use == 0:
@@ -398,23 +395,23 @@ def run_seed(
             trace.hidden, id_sel, ood_sel, val_split, train_cfg,
             backbone_val_acc=backbone_val_acc,
         )
-        head_weights = head_result.weights
+        head_weights = head_result.params
 
     scores = scoring.score_nodes(
-        trace.logits, scorer,
+        trace.logits, "binary_head" if method.head else method.scorer,
         hidden=trace.hidden, head_weights=head_weights,
         row_stochastic=row_stochastic,
         alpha=config.prop_alpha, iterations=config.prop_iterations,
     )
 
+    id_scores, ood_scores = scores[split.test_id], scores[split.test_ood]
     record = {
         "seed": seed,
         "id_acc": metrics.id_accuracy(trace.logits, labels, split.test_id,
                                       id_class_count=k),
-        "auroc": metrics.auroc(scores[split.test_id], scores[split.test_ood]),
-        "aupr": metrics.aupr(scores[split.test_id], scores[split.test_ood]),
-        "fpr_at_95": metrics.fpr_at_95_tpr(scores[split.test_id],
-                                           scores[split.test_ood]),
+        "auroc": metrics.auroc(id_scores, ood_scores),
+        "aupr": metrics.aupr(id_scores, ood_scores),
+        "fpr_at_95": metrics.fpr_at_95_tpr(id_scores, ood_scores),
         "exposure_weight": chosen_weight,
         "best_epoch": train_result.best_epoch,
         "epochs_run": len(train_result.history),
@@ -423,13 +420,9 @@ def run_seed(
     if head_result is not None:
         record["head_best_epoch"] = head_result.best_epoch
 
-    rows = []
-    for node_id in split.test_id:
-        rows.append({"node_id": int(node_id), "is_ood_truth": 0,
-                     "method": config.method, "score": float(scores[node_id])})
-    for node_id in split.test_ood:
-        rows.append({"node_id": int(node_id), "is_ood_truth": 1,
-                     "method": config.method, "score": float(scores[node_id])})
+    rows = [{"node_id": int(node_id), "is_ood_truth": truth, "method": config.method,
+             "score": float(scores[node_id])}
+            for truth, ids in ((0, split.test_id), (1, split.test_ood)) for node_id in ids]
     return SeedOutcome(record=record, scores=scores, test_rows=rows,
                        params=train_result.params, head_weights=head_weights)
 
@@ -490,13 +483,20 @@ def run_experiment(config: ExperimentConfig,
             write_report(partial, out_dir / "report.partial.json")
         raise
 
+    return write_run(out_dir, config, per_seed,
+                     [f"seed-{seed}/scores.csv" for seed in config.seeds])
+
+
+def write_run(out_dir: Path, config: ExperimentConfig, per_seed: list[dict],
+              artifacts: list[str]) -> EvalReport:
+    """Write report.json and the run record config.json, which lists
+    report.json and ``artifacts``: the run's other files, relative to ``out_dir``."""
     report = aggregate_report(config.method, config.config_hash(), per_seed)
     write_report(report, out_dir / "report.json")
     run_record = {
         "config": config.to_dict(),
         "environment": environment_info(),
-        "artifacts": ["report.json"]
-                     + [f"seed-{seed}/scores.csv" for seed in config.seeds],
+        "artifacts": ["report.json", *artifacts],
     }
     (out_dir / "config.json").write_text(
         json.dumps(run_record, sort_keys=True, indent=2) + "\n")
@@ -542,14 +542,9 @@ def sweep_pseudo_count(config: ExperimentConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for count in counts:
-        sub = ExperimentConfig.from_dict(config.to_dict())
-        sub.output_dir = str(out_dir / f"count-{count}")
-        if count == 0:
-            sub.method = "energy"
-            report = run_experiment(sub)
-        else:
-            sub.method = "goe_generator"
-            report = run_experiment(sub, total_generated=count)
+        sub = dataclasses.replace(config, output_dir=str(out_dir / f"count-{count}"),
+                                  method="goe_generator" if count else "energy")
+        report = run_experiment(sub, total_generated=count)
         row = {"count": count}
         row.update({name: report.mean[name] for name in METRIC_NAMES})
         if report.std is not None:

@@ -32,6 +32,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+
 def energy(logits: np.ndarray) -> np.ndarray | float:
     """Max-shifted negative logsumexp along the last axis.
 
@@ -159,8 +164,7 @@ def binary_head_loss(head_logits: np.ndarray, id_ids: np.ndarray,
     per_node = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     loss = float(per_node.mean())
     grad = np.zeros_like(np.asarray(head_logits, dtype=np.float64))
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-    grad[ids] = (sig - targets) / ids.size
+    grad[ids] = (sigmoid(z) - targets) / ids.size
     return loss, grad
 
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .objectives import energy, log_softmax, softmax
-
-METHOD_TAGS = ("msp", "entropy", "energy", "energy_prop", "binary_head", "kplus1")
+from .objectives import energy, log_softmax, sigmoid, softmax
 
 
 def msp_score(logits: np.ndarray) -> np.ndarray:
@@ -39,11 +37,6 @@ def energy_score(logits: np.ndarray) -> np.ndarray:
 def kplus1_score(logits: np.ndarray) -> np.ndarray:
     """Softmax probability of the final (OOD) column of a K+1 model."""
     return softmax(logits)[:, -1]
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
 
 
 def binary_head_score(hidden: np.ndarray, head_weights: np.ndarray) -> np.ndarray:
@@ -83,7 +76,8 @@ def score_nodes(
     alpha: float = 0.5,
     iterations: int = 2,
 ) -> np.ndarray:
-    """Score every node with the named method (tags in METHOD_TAGS)."""
+    """Score every node with the named scorer: msp, entropy, energy, energy_prop,
+    kplus1 or binary_head."""
     if method == "msp":
         return msp_score(logits)
     if method == "entropy":

@@ -204,3 +204,104 @@ def test_synth_rejects_bad_arguments_in_one_line(tmp_path, args):
     assert result.output.startswith("Error: planted graph needs ")
     assert result.output.count("\n") == 1
     assert not data.exists()
+
+
+@pytest.fixture(scope="module")
+def small_workspace(tmp_path_factory):
+    """A small planted dataset at ``<root>/data``, prepared with ID classes 0,1."""
+    root = tmp_path_factory.mktemp("cli-small")
+    runner = CliRunner()
+    data = str(root / "data")
+    assert runner.invoke(main, ["synth", data, "--nodes-per-class", "100"]).exit_code == 0
+    assert runner.invoke(main, ["prepare", data, "--id-classes", "0,1",
+                                "--test-id", "60", "--test-ood", "60"]).exit_code == 0
+    return root
+
+
+def _train_digests(root, method, out, *extra):
+    """sha256 of report.json, scores.csv and params.bin of one `goe train` in ``root``.
+
+    The dataset path is relative, so the config hash is machine-independent.
+    """
+    import hashlib
+    import os
+
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        result = CliRunner().invoke(main, [
+            "train", "data", "--method", method, "--out", str(out), "--sample", "60",
+            "--provider", "centroid", "--max-epochs", "30", "--patience", "10", *extra])
+    finally:
+        os.chdir(cwd)
+    assert result.exit_code == 0, result.output
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("report.json", "scores.csv", "params.bin")]
+
+
+TRAIN_PINS = {   # report.json, scores.csv, params.bin
+    "msp": ["8e1d28a23e3074c87e0733b950552faa155d7d79d464a5e12dedf4eb7e711ef3",
+            "ad0da8a23ba8286ddfa8b313c428cdcdea163b5a291accda34a4c72e7136cc97",
+            "85f3bc5e36c543521812ea35260aa463a3075d2d252b698b5d6bbf1ec027a1d2"],
+    "entropy": ["d2c17bfc287cea08ccbda195925c73a5a59843aebbdd0c85d299340dcdb95e21",
+                "d8a3d67d60d08768a82ebb94a31d0ca9ef376fd53c72d85a93ee72d0898323f5",
+                "85f3bc5e36c543521812ea35260aa463a3075d2d252b698b5d6bbf1ec027a1d2"],
+    "energy": ["a379457fcd9193d683e08d2dfdf41064abc9d38fc0a0f1f5604a9e622c07b8b2",
+               "5c36acd7b90285d77a105a07f6baa0536d32fefd758c4e37c7f9430fc4ee476d",
+               "4c56609b3d6a904e31b9f69dc860969db75eb3ca51e0e1e216e6a1bd3c3889dd"],
+    "energy_prop": ["2926d855523a9bb0175434d7fe166f391f4bbcb753e193c19c10577c30d1323b",
+                    "a9952a6988e69555d1d8bde4ef0f24a516a2b38e28bb7b755e81c9683f088711",
+                    "05d5007b383659bbb7ab40b70fad994aab2357da095853c0a1a584bebda0eeea"],
+    "goe_identifier": ["f25a5b571f5e505a22510381889178779f1d8bc8043e0fcc094e4f28e808ef7e",
+                       "03ae61150b2d57c79b36d894cdad117a1139195222c37a19d26f131fd8579d76",
+                       "6a778b61418539050e115f63bf86ca7793745aa87aeb1944d3616e8aaf909197"],
+    "goe_generator": ["35302efb3efa0d46d1f9cce72f08b6e4cda33cc5dc0e74f8e02b2a53b50bb182",
+                      "3f4e82e8b67a6d0e1eb031e94c613af2b552caedc330f5b8cdb0240dada66046",
+                      "35b0f6676a69000570de721c710e9d6e1ee67ccf74961d45354565a96a006e2d"],
+    "kplus1": ["93257ecaf998190da1c97274363bd2ceceebcdc4f19d4a3087666e0076be2b4d",
+               "057788162483d6d6029acd39831e1453e12e8f92276059ba667eaf40fba19ea4",
+               "c6513e5e70249cc6a2b801b7fe1803182a4b6037b127a365493d756589e70d61"],
+    "binary_head": ["45f5379c0ef5e594d63a4fad0f0d5e03070cb536c23e2a0652bf8ec999cd82cc",
+                    "13d7e23cc066967e0fcbcb3e72d75adf880a28edeb39c38bdf622fe08625f6a8",
+                    "4c56609b3d6a904e31b9f69dc860969db75eb3ca51e0e1e216e6a1bd3c3889dd"],
+    "binary_head --pseudo-val": ["aa137290a8c9650e4cd28dd32e39ddb4021f27568a0c1b3ca30953026d12fca6",
+                                 "8e5c0e0747bf3c294f27e5afa1c103c0b32e90a9d06cad2d03e7dc5c3f2c04b4",
+                                 "21f10572490c10664edf42cca1b14c8f7cefa5eb51bb515df0f51ea9514e81c7"],
+}
+
+
+@pytest.mark.parametrize("method", list(TRAIN_PINS))
+def test_train_files_are_pinned(small_workspace, tmp_path, method):
+    """`goe train` files for every method, hashed as its own copy of the run writer wrote them."""
+    name, *extra = method.split()
+    assert _train_digests(small_workspace, name, tmp_path / "run", *extra) == TRAIN_PINS[method]
+
+
+def _write_config(path, **overrides):
+    config = {"dataset_dir": "ignored", "id_classes": [0, 1], "method": "energy",
+              "output_dir": "ignored", **overrides}
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["train", "--method", "energy"],
+                                     ["compare", "--methods", "energy", "--seeds", "0"],
+                                     ["sweep-count", "--counts", "0", "--seeds", "0"]])
+def test_config_with_other_id_classes_fails_in_one_line(small_workspace, tmp_path, command):
+    """The run trains on the split's classes, so a config naming others would mislabel it."""
+    config = _write_config(tmp_path / "config.json", id_classes=[0, 2])
+    name, *options = command
+    result = CliRunner().invoke(main, [name, str(small_workspace / "data"), *options,
+                                       "--config", config, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert result.output.count("\n") == 1
+    assert "id_classes [0, 2]" in result.output and "[0, 1]" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_with_an_unknown_key_fails_in_one_line(small_workspace, tmp_path):
+    config = _write_config(tmp_path / "config.json", train={"hiden_dim": 8})
+    result = CliRunner().invoke(main, ["train", str(small_workspace / "data"), "--method",
+                                       "energy", "--config", config])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {config}: unknown train key 'hiden_dim'\n"

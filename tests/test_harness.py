@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from goe.gcn import TrainConfig
 from goe.graph import make_class_split, save_dataset
+from goe import scoring
 from goe.harness import (
+    ALL_METHODS,
+    EXPOSURE_METHODS,
+    METHODS,
     ExperimentConfig,
     LlmSettings,
     aggregate_report,
@@ -323,3 +328,84 @@ def test_sweep_count_zero_matches_energy_baseline(dataset_dir, tmp_path):
     assert rows[1]["count"] == 5
     assert (tmp_path / "sweep" / "sweep.md").exists()
     assert (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def _run_digests(planted, root, method):
+    """sha256 of report.json and both seeds' scores.csv for a two-seed run in ``root``.
+
+    The dataset path is relative, so the config hash inside report.json is the
+    same on every machine.
+    """
+    import hashlib
+    import os
+
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        save_dataset(*planted, "data")
+        run_experiment(ExperimentConfig(
+            dataset_dir="data", id_classes=[0, 1], method=method, output_dir="run",
+            seeds=[0, 1], train=TrainConfig(max_epochs=30, patience=10),
+            llm=LlmSettings(client="mock", sample_size=60, provider="centroid"),
+            test_id_size=150, test_ood_size=150))
+        return [hashlib.sha256((root / "run" / name).read_bytes()).hexdigest()
+                for name in ("report.json", "seed-0/scores.csv", "seed-1/scores.csv")]
+    finally:
+        os.chdir(cwd)
+
+
+RUN_PINS = {   # report.json, seed-0/scores.csv, seed-1/scores.csv
+    "msp": ["f5731411ab29b5209680d0b1261a2258e0b6cb8b75deb1746564811b4e46b2a2",
+            "682e1113942bba96dc8ca8f172bc4152d1a277a53256376cdec315c139874cc6",
+            "1de7f837f5c9095be88b1e013b8eeb114d480b2c15bbc1f775a09c7e556cacba"],
+    "entropy": ["c3fd37dd373833d4529a99b199b8ab97a62fbea8a0cd2f7d0b4cf8eb963efed6",
+                "b38cc247b8ed440c48a141f3695fac450537cdb73e23a4cfb523cf6947a3d15f",
+                "e91ff262e9d3304233d3d30d9d42840f87c18bf3592eab7b41a14c17633c56b3"],
+    "energy": ["668d7003ba63e4b10ee998246260d26e1fdeedf590c5332c313f8f8d139c4f24",
+               "6146bbe7113475e79ffc63ef707c34f898126447a417356a77050cbf1b04f7ec",
+               "7e8b6f4140f7453a6d40dad39dbd049dc7d5614ec6af30318954ae50b8b99f5e"],
+    "energy_prop": ["91f2d29372b7ecdfb4736c81cf88c5c69c0fea1c92f85d67a76dad7666e9cd65",
+                    "f7124459a07e71273029449658bdefe340eb6404178cde9631564f695416e447",
+                    "d539e11705e9879868de727c21c8d8e31c36a45d8e091423ec8592ec56a920f5"],
+    "goe_identifier": ["a743008f05c4e2fcfe47a0aadede24fa3a32b9868cc677263f85904710d017f9",
+                       "ea809c34d2ad69e24c327ef0dafb927289dbae3ee2bd71e733c151675d35e2b3",
+                       "170182d00437257e4ce5bf758b20f3bf517caee67438d714fcd1fa28a5fdc8aa"],
+    "goe_generator": ["5347f56c4532d08a95bade042f36cf7499a79a764ccfedaad09d3d814609a063",
+                      "d55f6ffb5aec7b573fce13e6ddbc01c1168745d9db2e09a73ab7e69157bb743d",
+                      "fad4fd932f064ec52c9f3e1e5e85ddefa1ca92628edd0e6e2c52f9ee2cd2b31c"],
+    "kplus1": ["c158aebdae35d6927cd2416fd25f00d113090c564cdbe76fca36fbd99c541294",
+               "5cfc9ab8a006e5c3ecabbb599c7fd1fb06962d4b557b55e9cc3d6eb6c86609d3",
+               "a208485f924f629e8b1d44b42ab17f45fcf4d855d9f1e8934fd7f7154432c368"],
+    "binary_head": ["6c0260238319318410cae619785f1e34c5199c1c4a681ac7b9952225045bc181",
+                    "a7ebc4c29c3324a063335735eab0f67770f77ae046c3676140308ed483e90970",
+                    "35f73e27c606d262b01bd1d9662ed3658b4ba2e5c403beaf24628979c3f5b341"],
+}
+
+
+@pytest.mark.parametrize("method", list(RUN_PINS))
+def test_run_experiment_files_are_pinned(planted, tmp_path, method):
+    """Every method's files, hashed as run_seed wrote them with one branch per method."""
+    assert _run_digests(planted, tmp_path, method) == RUN_PINS[method]
+
+
+def test_method_table_order_and_scorers():
+    """compare and the benchmark iterate the table in this order; every scorer is known."""
+    assert ALL_METHODS == ("msp", "entropy", "energy", "energy_prop", "goe_identifier",
+                           "goe_generator", "kplus1", "binary_head")
+    assert EXPOSURE_METHODS == ("goe_identifier", "goe_generator")
+    logits = np.random.default_rng(0).normal(size=(5, 3))
+    for row in METHODS.values():
+        scores = scoring.score_nodes(logits, row.scorer,
+                                     row_stochastic=sp.identity(5, format="csr"))
+        assert scores.shape == (5,)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"seedz": [0]}, "unknown top-level key 'seedz'"),
+    ({"train": {"hiden_dim": 8}}, "unknown train key 'hiden_dim'"),
+    ({"llm": {"modle": "m"}}, "unknown llm key 'modle'"),
+])
+def test_config_rejects_an_unknown_key(data, message):
+    base = {"dataset_dir": "data", "id_classes": [0, 1], "method": "energy", "output_dir": "out"}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig.from_dict({**base, **data})
