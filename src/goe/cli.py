@@ -67,18 +67,24 @@ def _llm_options(fn):
     return fn
 
 
-def _load_split_or_fail(directory: Path, id_classes: str | None):
+def _load_inputs(directory: Path, id_classes: str | None):
+    """The dataset, split.json and the class split (``--id-classes``, else the
+    split's). A split.json that is malformed or does not fit the dataset fails
+    in one line."""
     split_path = directory / "split.json"
     if not split_path.exists():
         raise click.ClickException(f"{split_path} not found; run `goe prepare` first")
-    split, stored_classes = load_split(split_path)
-    if id_classes:
-        classes = _parse_int_list(id_classes)
-    elif stored_classes:
-        classes = stored_classes
-    else:
-        raise click.ClickException("split.json lacks id_classes; pass --id-classes")
-    return split, classes
+    graph, manifest = load_dataset(directory)
+    try:
+        split, stored_classes = load_split(split_path)
+        classes = _parse_int_list(id_classes) if id_classes else stored_classes
+        if not classes:
+            raise click.ClickException("split.json lacks id_classes; pass --id-classes")
+        class_split = make_class_split(graph.labels, classes)
+        split.validate(graph.labels, class_split)
+    except ValueError as exc:
+        raise click.ClickException(f"{split_path}: {exc}") from None
+    return graph, manifest, split, class_split
 
 
 @click.group()
@@ -146,9 +152,7 @@ def annotate(directory: str, sample: int, id_classes: str | None, seed: int | No
              model: str, cache: str | None):
     """Ask the chat model to flag pseudo-OOD nodes among unlabeled ones."""
     directory = Path(directory)
-    graph, manifest = load_dataset(directory)
-    split, classes = _load_split_or_fail(directory, id_classes)
-    class_split = make_class_split(graph.labels, classes)
+    graph, manifest, split, class_split = _load_inputs(directory, id_classes)
     seed = split.seed if seed is None else seed
 
     client, chat_cache = _chat(directory, replay, remote, cache)
@@ -174,9 +178,7 @@ def generate(directory: str, per_class: int, id_classes: str | None, mock: bool,
              replay: str | None, remote: bool, model: str, cache: str | None):
     """Ask the chat model to write synthetic OOD texts (generated.jsonl)."""
     directory = Path(directory)
-    graph, manifest = load_dataset(directory)
-    _, classes = _load_split_or_fail(directory, id_classes)
-    class_split = make_class_split(graph.labels, classes)
+    _, manifest, _, class_split = _load_inputs(directory, id_classes)
     ood_names = [manifest.category_names[c] for c in class_split.ood_classes]
 
     client, chat_cache = _chat(directory, replay, remote, cache)
@@ -224,18 +226,23 @@ def _train_options(fn):
 
 def _run_config(directory: Path, split, classes: list[int], method: str, seeds: list[int],
                 out: str, config_path: str | None, flags: dict) -> harness.ExperimentConfig:
-    """The ``--config`` file if one is given, else the flags. A config file must
-    name the ID classes the run trains on (from split.json or ``--id-classes``)."""
+    """The ``--config`` file if one is given, else the flags. The run's dataset
+    directory, method, seeds and output directory stand in for the file's own,
+    so a file may leave them out. A config file must name the ID classes the
+    run trains on (from split.json or ``--id-classes``)."""
     if config_path:
         try:
-            config = harness.ExperimentConfig.from_json(config_path)
-        except ValueError as exc:
+            data = json.loads(Path(config_path).read_text())
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            data.update(dataset_dir=str(directory), method=method, seeds=seeds, output_dir=out)
+            config = harness.ExperimentConfig.from_dict(data)
+        except (TypeError, ValueError) as exc:
             raise click.ClickException(f"{config_path}: {exc}") from None
         if config.id_classes != classes:
             raise click.ClickException(
                 f"{config_path} has id_classes {config.id_classes}, but the run trains "
                 f"on {classes} from split.json or --id-classes")
-        config.dataset_dir = str(directory)
     else:
         train_cfg = gcn.TrainConfig(
             hidden_dim=flags["hidden_dim"], learning_rate=flags["learning_rate"],
@@ -246,7 +253,7 @@ def _run_config(directory: Path, split, classes: list[int], method: str, seeds: 
         weight = flags["exposure_weight"]
         k = len(classes)
         config = harness.ExperimentConfig(
-            dataset_dir=str(directory), id_classes=classes, method=method,
+            dataset_dir=str(directory), id_classes=classes, method=method, seeds=seeds,
             output_dir=out, train=train_cfg,
             llm=_llm_settings(flags["replay"], flags["remote"], model=flags["model"],
                               chat_cache=flags["cache"], sample_size=flags["sample"],
@@ -257,7 +264,6 @@ def _run_config(directory: Path, split, classes: list[int], method: str, seeds: 
             train_per_class=len(split.train_id) // k, val_per_class=len(split.val_id) // k,
             test_id_size=len(split.test_id), test_ood_size=len(split.test_ood),
         )
-    config.method, config.seeds, config.output_dir = method, seeds, out
     config.validate()
     return config
 
@@ -279,13 +285,11 @@ def train(directory: str, method: str, seed: int | None, out: str | None,
           id_classes: str | None, config_path: str | None, **flags):
     """Train one seed on the saved split and write report.json + scores.csv."""
     directory = Path(directory)
-    split, classes = _load_split_or_fail(directory, id_classes)
+    graph, manifest, split, class_split = _load_inputs(directory, id_classes)
     seed = split.seed if seed is None else seed
     out = out or str(directory / "runs" / method)
-    config = _run_config(directory, split, classes, method, [seed], out, config_path, flags)
-
-    graph, manifest = load_dataset(directory)
-    class_split = make_class_split(graph.labels, classes)
+    config = _run_config(directory, split, class_split.id_classes, method, [seed], out,
+                         config_path, flags)
     outcome = harness.run_seed(graph, manifest, class_split, config, seed,
                                split=split)
     out_dir = Path(out)
@@ -344,7 +348,8 @@ def compare(directory: str, methods: str, seeds: str, out: str | None,
             id_classes: str | None, config_path: str | None, **flags):
     """Run several methods over the same seeds and write a results table."""
     directory = Path(directory)
-    split, classes = _load_split_or_fail(directory, id_classes)
+    _, _, split, class_split = _load_inputs(directory, id_classes)
+    classes = class_split.id_classes
     seed_list = _parse_int_list(seeds)
     out = out or str(directory / "runs" / "compare")
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
@@ -377,7 +382,8 @@ def sweep_count(directory: str, counts: str, seeds: str, out: str | None,
                 id_classes: str | None, config_path: str | None, **flags):
     """Ablate the number of generated pseudo-OOD nodes (0 = no exposure)."""
     directory = Path(directory)
-    split, classes = _load_split_or_fail(directory, id_classes)
+    _, _, split, class_split = _load_inputs(directory, id_classes)
+    classes = class_split.id_classes
     seed_list = _parse_int_list(seeds)
     count_list = _parse_int_list(counts)
     out = out or str(directory / "runs" / "sweep-count")

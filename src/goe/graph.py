@@ -158,6 +158,8 @@ class DataSplit:
     def validate(self, labels: np.ndarray, class_split: ClassSplit) -> None:
         sets = self.all_sets()
         union = np.concatenate(list(sets.values()))
+        if union.size and (union.min() < 0 or union.max() >= len(labels)):
+            raise ValueError("split holds a node id outside the graph")
         if len(np.unique(union)) != len(union):
             raise ValueError("split sets are not pairwise disjoint")
         for name in ("train_id", "val_id", "test_id"):
@@ -275,7 +277,8 @@ def _parse_node_block(lines: list[str]) -> tuple[list, list, list] | None:
 
 
 def _parse_node_lines(lines: list[str], first: int, name: str) -> tuple[list, list, list]:
-    """Parse one JSON record per non-blank line; name the first bad line."""
+    """Parse one JSON record per non-blank line; name the first bad line. As in
+    the block parse, id and label must be JSON ints and text a string."""
     ids, texts, labels = [], [], []
     for number, line in enumerate(lines, first):
         line = line.strip()
@@ -283,14 +286,19 @@ def _parse_node_lines(lines: list[str], first: int, name: str) -> tuple[list, li
             continue
         try:
             obj = json.loads(line)
-            ids.append(int(obj["id"]))
-            texts.append(str(obj["text"]))
-            labels.append(int(obj["label"]))
+            node_id, text, label = obj["id"], obj["text"], obj["label"]
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name} line {number}: invalid JSON "
                              f"({exc.msg} at column {exc.colno})") from None
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"{name} line {number}: bad node record ({exc!r})") from None
+        kinds = (type(node_id), type(text), type(label))
+        if kinds != (int, str, int):
+            raise ValueError(f"{name} line {number}: bad node record (id, text, label are "
+                             f"{', '.join(kind.__name__ for kind in kinds)})")
+        ids.append(node_id)
+        texts.append(text)
+        labels.append(label)
     return ids, texts, labels
 
 
@@ -581,14 +589,14 @@ def save_split(split: DataSplit, path: Path | str,
 
 
 def load_split(path: Path | str) -> tuple[DataSplit, list[int] | None]:
+    """Read split.json; a node-id set that is not a list of JSON integers fails."""
     data = json.loads(Path(path).read_text())
-    split = DataSplit(
-        train_id=np.array(sorted(data["train_id"]), dtype=np.int64),
-        val_id=np.array(sorted(data["val_id"]), dtype=np.int64),
-        val_ood=np.array(sorted(data["val_ood"]), dtype=np.int64),
-        test_id=np.array(sorted(data["test_id"]), dtype=np.int64),
-        test_ood=np.array(sorted(data["test_ood"]), dtype=np.int64),
-        seed=int(data["seed"]),
-    )
+    sets = {}
+    for name in ("train_id", "val_id", "val_ood", "test_id", "test_ood"):
+        ids = data.get(name)
+        if not (isinstance(ids, list) and all(type(v) is int for v in ids)):
+            raise ValueError(f"{name} is not a list of integer node ids")
+        sets[name] = _int64(sorted(ids), f"{name} holds a node id outside the graph")
+    split = DataSplit(**sets, seed=int(data["seed"]))
     id_classes = [int(v) for v in data["id_classes"]] if "id_classes" in data else None
     return split, id_classes

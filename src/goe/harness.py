@@ -507,8 +507,8 @@ def environment_info() -> dict:
     """Library versions for the run record.
 
     Results are bitwise reproducible only for a fixed BLAS thread count too,
-    but that count is not recorded: reading it needs threadpoolctl, which is
-    not a dependency.
+    but that count is not recorded yet; it can be read with ctypes from the
+    loaded OpenBLAS, as ``bench/bench.py`` does.
     """
     return {"numpy": np.__version__}
 

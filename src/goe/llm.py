@@ -9,12 +9,14 @@ Two pipelines produce pseudo-OOD training signal without real OOD labels:
 
 Chat traffic flows through an append-only jsonl cache keyed by
 hash(model, prompt), so every pipeline can be replayed offline and
-byte-for-byte deterministically. Identification looks every prompt up in the
-calling thread; only the chat calls for misses go to worker threads, at most
-``8 × concurrency`` of them in flight. The caller takes their replies in
-submission order and appends each record with one ``os.write`` under
-``flock``, so the log's record order depends only on the sample; a slow
-oldest call holds back new submissions while the other calls run on.
+byte-for-byte deterministically. Both pipelines ask through ``_ask``: it looks
+every prompt up in the calling thread, and only the chat calls for misses go
+to worker threads, at most ``8 × workers`` of them in flight. The caller takes
+their replies in submission order and appends each record with one
+``os.write`` under ``flock``, so the log's record order depends only on the
+prompts; a slow oldest call holds back new submissions while the other calls
+run on. Identification asks for its whole sample on ``concurrency`` threads;
+generation asks for one prompt per call.
 """
 
 from __future__ import annotations
@@ -314,33 +316,97 @@ def _retry_after_seconds(resp) -> float | None:
     return seconds if 0.0 <= seconds < math.inf else None
 
 
-def _chat_record(key: str, model: str, prompt: str, response: str, *,
-                 node_id: int | None, parsed: str) -> dict:
-    return {
-        "key": key,
-        "node_id": node_id,
-        "prompt": prompt,
-        "response": response,
-        "parsed": parsed,
-        "model": model,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+def _prefix_keyer(model: str, head: str):
+    """``key(text) == chat_key(model, head + text)``, hashing ``model`` and ``head`` once."""
+    base = hashlib.sha256(f"{model}\x00{head}".encode("utf-8"))
+
+    def key(text: str) -> str:
+        if not text:
+            raise ValueError("empty node text")
+        h = base.copy()
+        h.update(text.encode("utf-8"))
+        return h.hexdigest()
+    return key
 
 
-def _cached_complete(client, cache: ChatCache | None, model: str, prompt: str, *,
-                     node_id: int | None, temperature: float, max_tokens: int,
-                     parse_tag=None) -> str:
-    key = chat_key(model, prompt)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit["response"]
-    response = client.complete(model, [{"role": "user", "content": prompt}],
-                               temperature=temperature, max_tokens=max_tokens)
-    if cache is not None:
-        cache.put(_chat_record(key, model, prompt, response, node_id=node_id,
-                               parsed=parse_tag(response) if parse_tag else ""))
-    return response
+def _complete_misses(client, model: str, misses: list[tuple[int, str, str]],
+                     on_response, *, workers: int,
+                     temperature: float = IDENTIFY_TEMPERATURE,
+                     max_tokens: int = IDENTIFY_MAX_TOKENS) -> None:
+    """Run the chat call of each ``(index, key, prompt)`` miss on worker threads.
+
+    At most ``8 × workers`` calls are in flight. The calling thread waits for
+    the oldest, runs ``on_response(miss, response)`` and only then submits
+    the next miss, so responses arrive in the order of ``misses`` whatever
+    the timing. The price is head-of-line waiting: a slow oldest call holds
+    back new submissions, though the calls already queued keep running. If a
+    call raises, the calls not yet started are cancelled, the replies of
+    calls already running are still passed on, and the first error is raised.
+    """
+    todo = iter(misses)
+    window: deque = deque()
+    error: Exception | None = None
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        def submit(miss: tuple[int, str, str]) -> None:
+            messages = [{"role": "user", "content": miss[2]}]
+            window.append((executor.submit(client.complete, model, messages,
+                                           temperature=temperature,
+                                           max_tokens=max_tokens), miss))
+
+        try:
+            for miss in itertools.islice(todo, 8 * workers):
+                submit(miss)
+            while window:
+                fut, miss = window.popleft()
+                try:
+                    response = fut.result()
+                except Exception as exc:  # a call cancelled below raises CancelledError
+                    if error is None:
+                        error = exc
+                        for queued, _ in window:
+                            queued.cancel()
+                    continue
+                on_response(miss, response)
+                if error is None and (miss := next(todo, None)) is not None:
+                    submit(miss)
+        finally:
+            for fut, _ in window:
+                fut.cancel()
+    if error is not None:
+        raise error
+
+
+def _ask(client, cache: ChatCache | None, model: str, head: str, texts, tag, *,
+         node_ids=None, workers: int = 1, temperature: float,
+         max_tokens: int) -> list[str]:
+    """The reply to each prompt ``head + text``: from the cache, else from
+    ``_complete_misses`` on ``workers`` threads. Lookups run in the calling
+    thread and hash ``model`` and ``head`` once; each miss's reply is appended
+    to the cache in submission order, with ``node_ids[i]`` (or None) and
+    ``parsed`` set to ``tag(reply)``. If a call raises, the replies received
+    so far are still recorded and the error is re-raised."""
+    key_of = _prefix_keyer(model, head)
+    replies: list[str | None] = [None] * len(texts)
+    misses = []
+    for i, text in enumerate(texts):
+        key = key_of(text)
+        hit = None if cache is None else cache.get(key)
+        if hit is None:
+            misses.append((i, key, head + text))
+        else:
+            replies[i] = hit["response"]
+
+    def record(miss: tuple[int, str, str], response: str) -> None:
+        i, key, prompt = miss
+        replies[i] = response
+        if cache is not None:
+            cache.put({"key": key, "node_id": None if node_ids is None else int(node_ids[i]),
+                       "prompt": prompt, "response": response, "parsed": tag(response),
+                       "model": model, "timestamp": datetime.now(timezone.utc).isoformat()})
+
+    _complete_misses(client, model, misses, record, workers=workers,
+                     temperature=temperature, max_tokens=max_tokens)
+    return replies
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +426,6 @@ def _identification_head(id_category_names: list[str], object_kind: str) -> str:
         raise ValueError("empty category list")
     return _IDENTIFICATION_TEMPLATE.format(object=object_kind,
                                            categories=", ".join(id_category_names))
-
-
-def _prefix_keyer(model: str, head: str):
-    """``key(text) == chat_key(model, head + text)``, hashing ``model`` and ``head`` once."""
-    base = hashlib.sha256(f"{model}\x00{head}".encode("utf-8"))
-
-    def key(text: str) -> str:
-        if not text:
-            raise ValueError("empty node text")
-        h = base.copy()
-        h.update(text.encode("utf-8"))
-        return h.hexdigest()
-    return key
 
 
 def _normalize(text: str) -> str:
@@ -428,51 +481,6 @@ def annotation_pool(graph: TextAttributedGraph, split) -> np.ndarray:
     return np.setdiff1d(np.arange(graph.node_count), split.evaluation_nodes())
 
 
-def _complete_misses(client, model: str, misses: list[tuple[int, str, str]],
-                     on_response, *, workers: int) -> None:
-    """Run the chat call of each ``(index, key, prompt)`` miss on worker threads.
-
-    At most ``8 × workers`` calls are in flight. The calling thread waits for
-    the oldest, runs ``on_response(miss, response)`` and only then submits
-    the next miss, so responses arrive in the order of ``misses`` whatever
-    the timing. The price is head-of-line waiting: a slow oldest call holds
-    back new submissions, though the calls already queued keep running. If a
-    call raises, the calls not yet started are cancelled, the replies of
-    calls already running are still passed on, and the first error is raised.
-    """
-    todo = iter(misses)
-    window: deque = deque()
-    error: Exception | None = None
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        def submit(miss: tuple[int, str, str]) -> None:
-            messages = [{"role": "user", "content": miss[2]}]
-            window.append((executor.submit(client.complete, model, messages,
-                                           temperature=IDENTIFY_TEMPERATURE,
-                                           max_tokens=IDENTIFY_MAX_TOKENS), miss))
-
-        try:
-            for miss in itertools.islice(todo, 8 * workers):
-                submit(miss)
-            while window:
-                fut, miss = window.popleft()
-                try:
-                    response = fut.result()
-                except Exception as exc:  # a call cancelled below raises CancelledError
-                    if error is None:
-                        error = exc
-                        for queued, _ in window:
-                            queued.cancel()
-                    continue
-                on_response(miss, response)
-                if error is None and (miss := next(todo, None)) is not None:
-                    submit(miss)
-        finally:
-            for fut, _ in window:
-                fut.cancel()
-    if error is not None:
-        raise error
-
-
 def identify_pseudo_ood(
     graph: TextAttributedGraph,
     manifest,
@@ -488,17 +496,9 @@ def identify_pseudo_ood(
 ) -> tuple[PseudoOodSet, list[LlmAnnotation]]:
     """Sample unlabeled nodes, annotate them, keep the ones marked OOD.
 
-    The calling thread keys every node and looks it up in the cache, so hits
-    never reach a worker thread; the prompt head all nodes share is hashed
-    once, and a full prompt is built only for a miss. Only the chat calls for
-    the misses run on ``concurrency`` threads, at most ``8 × concurrency``
-    in flight (``_complete_misses``). The caller takes their replies in
-    submission order and appends each record with one ``os.write`` under
-    ``flock``, so records land in sample order at any concurrency; the cost
-    is that a slow oldest call holds back new submissions. Each distinct
-    response is parsed once. If a call raises, the calls not yet started are
-    cancelled, the responses of calls already running are still written, and
-    the error is re-raised. Annotations come back in node-id order.
+    The prompts go through ``_ask`` on ``concurrency`` threads, so cache
+    records land in sample order at any concurrency. Each distinct response
+    is parsed once. Annotations come back in node-id order.
     """
     pool = annotation_pool(graph, split)
     if len(pool) < sample_size:
@@ -509,46 +509,26 @@ def identify_pseudo_ood(
     sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
 
     id_names = [manifest.category_names[c] for c in class_split.id_classes]
-    annotations: list[LlmAnnotation] = [None] * len(sample)
     parse = functools.cache(lambda response: parse_identification_response(response,
                                                                            id_names))
 
-    def annotate(i: int, response: str) -> LlmAnnotation:
+    def tag(response: str) -> str:
         kind, idx = parse(response)
-        annotations[i] = LlmAnnotation(node_id=int(sample[i]), raw_response=response,
-                                       parsed=kind, category_index=idx)
-        return annotations[i]
+        return f"id:{id_names[idx]}" if kind == PARSED_ID else kind
 
-    head = _identification_head(id_names, manifest.object_kind)
-    key_of = _prefix_keyer(model, head)
-    misses = []
-    for i, node_id in enumerate(sample):
-        text = graph.texts[node_id]
-        key = key_of(text)
-        hit = None if cache is None else cache.get(key)
-        if hit is None:
-            misses.append((i, key, head + text))
-        else:
-            annotate(i, hit["response"])
-
-    def record(miss: tuple[int, str, str], response: str) -> None:
-        i, key, prompt = miss
-        ann = annotate(i, response)
-        if cache is not None:
-            tag = (f"id:{id_names[ann.category_index]}" if ann.parsed == PARSED_ID
-                   else ann.parsed)
-            cache.put(_chat_record(key, model, prompt, response,
-                                   node_id=ann.node_id, parsed=tag))
-
-    _complete_misses(client, model, misses, record, workers=max(1, concurrency))
+    replies = _ask(client, cache, model, _identification_head(id_names, manifest.object_kind),
+                   [graph.texts[node_id] for node_id in sample], tag, node_ids=sample,
+                   workers=max(1, concurrency), temperature=IDENTIFY_TEMPERATURE,
+                   max_tokens=IDENTIFY_MAX_TOKENS)
+    annotations = [LlmAnnotation(int(node_id), response, *parse(response))
+                   for node_id, response in zip(sample, replies)]
 
     if all(a.parsed == PARSED_UNPARSEABLE for a in annotations):
         raise RuntimeError("all annotations unparseable; model or parser failure")
 
-    ood_ids = np.array(
-        sorted(a.node_id for a in annotations if a.parsed == PARSED_OOD),
-        dtype=np.int64,
-    )
+    # sample order is node-id order
+    ood_ids = np.array([a.node_id for a in annotations if a.parsed == PARSED_OOD],
+                       dtype=np.int64)
     provenance = [{"node_id": a.node_id, "parsed": a.parsed} for a in annotations]
     return PseudoOodSet(mode="identified", node_ids=ood_ids,
                         provenance=provenance), annotations
@@ -563,20 +543,12 @@ def annotation_accuracy(annotations: list[LlmAnnotation], labels: np.ndarray,
     """
     if not annotations:
         raise ValueError("empty annotation set")
-    labels = np.asarray(labels)
-    correct = 0
-    total = 0
-    for ann in annotations:
-        label = labels[ann.node_id]
-        if label < 0:
-            continue
-        truth_ood = label in class_split.ood_classes
-        pred_ood = ann.parsed == PARSED_OOD
-        correct += int(truth_ood == pred_ood)
-        total += 1
-    if total == 0:
+    truth = np.asarray(labels)[[ann.node_id for ann in annotations]]
+    known = truth >= 0
+    if not known.any():
         raise ValueError("no annotated node has a ground-truth label")
-    return correct / total
+    pred_ood = np.array([ann.parsed == PARSED_OOD for ann in annotations])
+    return float(np.mean(np.isin(truth, class_split.ood_classes)[known] == pred_ood[known]))
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +675,8 @@ def generate_pseudo_ood(
 def _generate_for_category(name: str, count: int, object_kind: str, client,
                            cache: ChatCache | None, model: str) -> list[GeneratedNode]:
     prompt = build_generation_prompt(name, count, object_kind)
-    response = _cached_complete(
-        client, cache, model, prompt, node_id=None,
-        temperature=GENERATE_TEMPERATURE, max_tokens=GENERATE_MAX_TOKENS,
-        parse_tag=lambda _: "generation",
-    )
+    [response] = _ask(client, cache, model, "", [prompt], lambda _: "generation",
+                      temperature=GENERATE_TEMPERATURE, max_tokens=GENERATE_MAX_TOKENS)
     try:
         return parse_generation_response(response, category=name)
     except ValueError:
@@ -723,15 +692,31 @@ def save_generated(nodes: list[GeneratedNode], path: Path | str) -> None:
 
 
 def load_generated(path: Path | str) -> list[GeneratedNode]:
-    nodes = []
+    return [GeneratedNode(category=rec["category"], title=rec["title"], body=rec["abstract"])
+            for _, rec in _jsonl_records(path, "a generated node",
+                                         {"category": str, "title": str, "abstract": str})]
+
+
+def _jsonl_records(path: Path | str, what: str, fields: dict[str, type]):
+    """Yield ``(line number, record)`` for each non-blank line of a jsonl file.
+
+    A line that is not a JSON object holding each of ``fields`` with its type
+    raises one ``ValueError`` naming the file and the 1-based line.
+    """
     with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
-                nodes.append(GeneratedNode(category=rec["category"],
-                                           title=rec["title"], body=rec["abstract"]))
-    return nodes
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {number} is not {what}: "
+                                 f"{exc.msg} at column {exc.pos + 1}") from None
+            for name, kind in fields.items():
+                if not (isinstance(rec, dict) and isinstance(rec.get(name), kind)):
+                    raise ValueError(f"{path}: line {number} is not {what}: "
+                                     f"no {name!r} of type {kind.__name__}")
+            yield number, rec
 
 
 # ---------------------------------------------------------------------------
@@ -771,18 +756,18 @@ class PrecomputedEmbeddingProvider:
     def __init__(self, path: Path | str):
         self._table: dict[str, np.ndarray] = {}
         dim = None
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                vec = np.asarray(rec["vector"], dtype=np.float64)
-                if dim is None:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise ValueError("inconsistent vector dimensions in embedding file")
-                self._table[rec["key"]] = vec
+        for number, rec in _jsonl_records(path, "an embedding record",
+                                          {"key": str, "vector": list}):
+            vec = np.asarray(rec["vector"])
+            if vec.ndim != 1 or not vec.size or vec.dtype.kind not in "iuf":
+                raise ValueError(f"{path}: line {number} is not an embedding record: "
+                                 "'vector' is not a non-empty list of numbers")
+            if dim is None:
+                dim = vec.shape[0]
+            elif vec.shape[0] != dim:
+                raise ValueError(f"{path}: line {number}: inconsistent vector dimensions "
+                                 "in embedding file")
+            self._table[rec["key"]] = vec.astype(np.float64)
         if dim is None:
             raise ValueError("embedding file is empty")
         self._dim = int(dim)

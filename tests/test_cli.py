@@ -305,3 +305,53 @@ def test_config_with_an_unknown_key_fails_in_one_line(small_workspace, tmp_path)
                                        "energy", "--config", config])
     assert result.exit_code == 1
     assert result.output == f"Error: {config}: unknown train key 'hiden_dim'\n"
+
+
+@pytest.mark.parametrize("command", [["train", "--method", "energy"],
+                                     ["compare", "--methods", "energy", "--seeds", "0"],
+                                     ["sweep-count", "--counts", "0", "--seeds", "0"]])
+def test_config_may_leave_out_the_fields_the_run_sets(small_workspace, tmp_path, command):
+    """The run's dataset, method and output directory stand in for the file's."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"id_classes": [0, 1], "test_id_size": 60, "test_ood_size": 60,
+                                  "train": {"max_epochs": 5, "patience": 5}}))
+    name, *options = command
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, [name, str(small_workspace / "data"), *options,
+                                       "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    record = json.loads(next(out.rglob("config.json")).read_text())["config"]
+    assert record["dataset_dir"] == str(small_workspace / "data")
+    assert record["method"] == "energy"
+    assert record["train"]["max_epochs"] == 5
+
+
+def _edit_split(path, edit):
+    split = json.loads(path.read_text())
+    edit(split)
+    path.write_text(json.dumps(split))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(test_id=s["test_id"] + s["train_id"][:10]),
+     "split sets are not pairwise disjoint"),
+    (lambda s: s["val_ood"].append(s["val_ood"][0] + 0.5),
+     "val_ood is not a list of integer node ids"),
+    (lambda s: s["test_ood"].append(10 ** 6), "split holds a node id outside the graph"),
+    (lambda s: s["train_id"].append(s["test_ood"][0] + 0.0),
+     "train_id is not a list of integer node ids"),
+], ids=["overlapping", "fractional", "out_of_range", "float"])
+@pytest.mark.parametrize("command", [["train", "--method", "energy", "--out"],
+                                     ["annotate", "--sample", "10", "--cache"],
+                                     ["compare", "--methods", "energy", "--seeds", "0", "--out"]])
+def test_split_that_does_not_fit_the_dataset_fails_in_one_line(small_workspace, tmp_path,
+                                                               edit, message, command):
+    """Each command's last option names the file or directory it would write."""
+    data = tmp_path / "data"
+    shutil.copytree(small_workspace / "data", data)
+    _edit_split(data / "split.json", edit)
+    name, *options = command
+    result = CliRunner().invoke(main, [name, str(data), *options, str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {data / 'split.json'}: {message}\n"
+    assert not (tmp_path / "run").exists()

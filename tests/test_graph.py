@@ -301,8 +301,22 @@ def _bad_json_line(d: Path, data, n, classes) -> str:
     return rf"^nodes\.jsonl line {index + 1}: invalid JSON \(.+ at column \d+\)$"
 
 
+def _mistyped_field(key, values):
+    def defect(d: Path, data, n, classes) -> str:
+        index = data.draw(st.integers(0, n - 1))
+        _edit_node(d / "nodes.jsonl", index, _set_field(key, data.draw(st.sampled_from(values))))
+        return rf"^nodes\.jsonl line {index + 1}: bad node record \(id, text, label are .+\)$"
+    defect.__name__ = f"_mistyped_{key}"
+    return defect
+
+
+_mistyped_id = _mistyped_field("id", [0.7, 1.0, True, "0", None])
+_mistyped_label = _mistyped_field("label", [1.9, 0.0, True, False, "1", None])
+_mistyped_text = _mistyped_field("text", [12345, 1.5, None, ["a"], {"a": "b"}])
+
 _DEFECTS = [_truncated_embeddings, _three_column_edge, _non_integer_edge, _edge_out_of_range,
-            _self_loop, _duplicate_id, _missing_id, _label_out_of_range, _bad_json_line]
+            _self_loop, _duplicate_id, _missing_id, _label_out_of_range, _bad_json_line,
+            _mistyped_id, _mistyped_label, _mistyped_text]
 
 
 @pytest.mark.parametrize("defect", _DEFECTS, ids=[f.__name__[1:] for f in _DEFECTS])
@@ -568,6 +582,28 @@ def test_split_json_roundtrip(tmp_path):
     assert loaded.seed == 5
     for name in split.all_sets():
         assert np.array_equal(loaded.all_sets()[name], split.all_sets()[name])
+
+
+@pytest.mark.parametrize("ids", [[0.5], ["3"], [True], None, 7],
+                         ids=["fraction", "string", "bool", "missing", "not_a_list"])
+def test_load_split_rejects_a_set_that_is_not_integer_ids(tmp_path, ids):
+    payload = {"seed": 0, "train_id": [1, 2], "val_id": [3], "val_ood": ids,
+               "test_id": [5], "test_ood": [6]}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="^val_ood is not a list of integer node ids$"):
+        load_split(path)
+
+
+def test_split_validate_rejects_ids_outside_the_graph():
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    cs = make_class_split(labels, [0, 1])
+    for bad in (-1, 6):
+        split = graph_module.DataSplit(train_id=np.array([0, 1]), val_id=np.array([3]),
+                                       val_ood=np.array([2]), test_id=np.array([4]),
+                                       test_ood=np.array([bad]), seed=0)
+        with pytest.raises(ValueError, match="outside the graph"):
+            split.validate(labels, cs)
 
 
 def test_manifest_validation():

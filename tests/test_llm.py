@@ -890,3 +890,114 @@ def test_pseudo_set_roundtrip(tmp_path):
     assert loaded.mode == "identified"
     assert np.array_equal(loaded.node_ids, pseudo.node_ids)
     assert loaded.provenance == pseudo.provenance
+
+
+def _records(path):
+    """The cache file's records, in file order, each without its timestamp."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        assert list(rec) == ["key", "node_id", "prompt", "response", "parsed", "model",
+                             "timestamp"]
+        del rec["timestamp"]
+    return records
+
+
+def test_cache_records_of_both_pipelines(planted_setup, tmp_path):
+    path = tmp_path / "annotations.jsonl"
+    client = MockChatClient()
+    nodes, _ = generate_pseudo_ood(["Quantum Widgets"], per_class=3, object_kind="paper",
+                                   client=client, cache=ChatCache(path))
+    prompt = build_generation_prompt("Quantum Widgets", 3, "paper")
+    assert client.calls == 1
+    assert _records(path) == [{"key": chat_key(DEFAULT_MODEL, prompt), "node_id": None,
+                               "prompt": prompt, "response": client.complete(
+                                   DEFAULT_MODEL, [{"role": "user", "content": prompt}]),
+                               "parsed": "generation", "model": DEFAULT_MODEL}]
+    replayed = MockChatClient()
+    again, _ = generate_pseudo_ood(["Quantum Widgets"], per_class=3, object_kind="paper",
+                                   client=replayed, cache=ChatCache(path))
+    assert replayed.calls == 0
+    assert [n.text for n in again] == [n.text for n in nodes]
+
+    graph, manifest, class_split, split = planted_setup
+    path.unlink()
+    names = [manifest.category_names[c] for c in class_split.id_classes]
+    replies = ["none", names[0], "no idea", names[1].upper()]
+    client = MockChatClient(reply_fn=lambda prompt: replies[len(prompt) % 4])
+    identify_pseudo_ood(graph, manifest, class_split, split, client=client,
+                        cache=ChatCache(path), sample_size=40, seed=0, concurrency=3)
+    records = _records(path)
+    assert len(records) == client.calls == 40
+    node_ids = [rec["node_id"] for rec in records]
+    assert node_ids == sorted(node_ids)
+    tags = {"none": "ood", names[0]: f"id:{names[0]}", "no idea": "unparseable",
+            names[1].upper(): f"id:{names[1]}"}
+    for rec in records:
+        prompt = build_identification_prompt(graph.texts[rec["node_id"]], names,
+                                             manifest.object_kind)
+        assert rec["prompt"] == prompt and rec["key"] == chat_key(DEFAULT_MODEL, prompt)
+        assert rec["model"] == DEFAULT_MODEL
+        assert rec["parsed"] == tags[rec["response"]]
+    assert {rec["parsed"] for rec in records} == set(tags.values())
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"category": "C", "title": "T", "abstract": "B"}\n\n{"category": "C", "title": "T"}\n',
+     "line 3 is not a generated node: no 'abstract' of type str"),
+    ('{"category": "C", "title": "T", "abstract": "B"}\n{"category": "C" "title": "T"}\n',
+     "line 2 is not a generated node: Expecting ',' delimiter at column 18"),
+    ('{"category": "C", "title": 5, "abstract": "b"}\n',
+     "line 1 is not a generated node: no 'title' of type str"),
+    ('["C", "T", "B"]\n', "line 1 is not a generated node: no 'category' of type str"),
+], ids=["missing_field", "bad_json", "numeric_title", "not_an_object"])
+def test_load_generated_names_the_bad_line(tmp_path, content, message):
+    path = tmp_path / "generated.jsonl"
+    path.write_text(content)
+    with pytest.raises(ValueError) as raised:
+        load_generated(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"key": "a", "vector": [1, 2]}\n{"vector": [1, 2]}\n',
+     "line 2 is not an embedding record: no 'key' of type str"),
+    ('{"key": "a", "vector": [1, 2]}\n\n{"key": "b" "vector": [1, 2]}\n',
+     "line 3 is not an embedding record: Expecting ',' delimiter at column 13"),
+    ('{"key": "a", "vector": ["1", "2"]}\n',
+     "line 1 is not an embedding record: 'vector' is not a non-empty list of numbers"),
+    ('{"key": "a", "vector": []}\n',
+     "line 1 is not an embedding record: 'vector' is not a non-empty list of numbers"),
+    ('{"key": "a", "vector": [1, 2]}\n{"key": "b", "vector": [1]}\n',
+     "line 2: inconsistent vector dimensions in embedding file"),
+], ids=["missing_key", "bad_json", "string_numbers", "empty_vector",
+        "inconsistent_dimension"])
+def test_precomputed_embedding_file_names_the_bad_line(tmp_path, content, message):
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(content)
+    with pytest.raises(ValueError) as raised:
+        PrecomputedEmbeddingProvider(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_annotation_accuracy_equals_the_counting_loop(data):
+    from goe.llm import LlmAnnotation
+    labels = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1, 2, 3]), min_size=4,
+                                         max_size=30)) + [0, 1])
+    class_split = make_class_split(labels, [0, 1])
+    node_ids = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=1))
+    annotations = [LlmAnnotation(i, "r", data.draw(st.sampled_from(["id", "ood", "unparseable"])))
+                   for i in node_ids]
+    correct = total = 0
+    for ann in annotations:
+        label = labels[ann.node_id]
+        if label >= 0:
+            correct += int((label in class_split.ood_classes) == (ann.parsed == "ood"))
+            total += 1
+    if total == 0:
+        with pytest.raises(ValueError, match="no annotated node has a ground-truth label"):
+            annotation_accuracy(annotations, labels, class_split)
+    else:
+        accuracy = annotation_accuracy(annotations, labels, class_split)
+        assert type(accuracy) is float and accuracy == correct / total
