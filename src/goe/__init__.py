@@ -11,6 +11,7 @@ from .graph import (
     ClassSplit,
     DataSplit,
     DatasetManifest,
+    InputError,
     TextAttributedGraph,
     compute_id_ratio,
     load_dataset,
@@ -45,6 +46,7 @@ __all__ = [
     "ExperimentConfig",
     "GcnParams",
     "HashEmbeddingProvider",
+    "InputError",
     "LlmSettings",
     "MockChatClient",
     "ObjectiveSpec",

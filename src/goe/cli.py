@@ -11,6 +11,11 @@ Workflow over a dataset directory:
     goe compare data/demo --methods msp,energy,goe_identifier
     goe sweep-count data/demo --counts 0,2,5,10,20
     goe export-scores runs/ident
+
+Flag defaults are the config classes' own, and ``_run_config`` alone builds the
+run config, from the flags or a ``--config`` file. An input fault (``InputError``
+or a missing file) prints one ``Error:`` line and exits 1; any other exception
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import gcn, harness, llm, metrics
 from .graph import (
+    InputError,
     compute_id_ratio,
     load_dataset,
     load_split,
@@ -33,63 +39,155 @@ from .graph import (
 )
 from .synthetic import make_planted_tag
 
+# The owner of every default a flag shows; a run's own four fields have none.
+_DEFAULTS = harness.ExperimentConfig.from_dict(
+    {"dataset_dir": "", "id_classes": [], "method": "", "output_dir": ""})
+_TRAIN_FLAGS = ("hidden_dim", "learning_rate", "dropout", "weight_decay", "max_epochs",
+                "patience", "margin_id", "margin_ood")
+
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _llm_settings(replay: str | None, remote: bool, **fields) -> harness.LlmSettings:
-    """The llm settings with the chat client the flags name. --mock is the
-    default; the flag exists so scripts can be explicit."""
-    client = "replay" if replay else ("remote" if remote else "mock")
-    return harness.LlmSettings(client=client, replay_path=replay, **fields)
-
-
-def _chat(directory: Path, replay: str | None, remote: bool, cache: str | None) -> tuple:
-    """The chat client the flags name and the chat cache (default in ``directory``)."""
-    config = harness.ExperimentConfig(   # only the dataset and the llm settings are read
-        dataset_dir=str(directory), id_classes=[], method="energy", output_dir=str(directory),
-        llm=_llm_settings(replay, remote, chat_cache=cache))
-    return harness.build_chat_client(config), llm.ChatCache(harness.default_cache_path(config))
-
-
-def _llm_options(fn):
-    fn = click.option("--mock", is_flag=True, default=False,
-                      help="Use the deterministic offline chat model (default).")(fn)
-    fn = click.option("--replay", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="Replay chat responses from this cache file.")(fn)
-    fn = click.option("--remote", is_flag=True, default=False,
-                      help="Call the configured remote chat endpoint.")(fn)
-    fn = click.option("--model", default=llm.DEFAULT_MODEL, show_default=True,
-                      help="Chat model name.")(fn)
-    fn = click.option("--cache", type=click.Path(dir_okay=False), default=None,
-                      help="Chat cache file (default <dir>/annotations.jsonl).")(fn)
-    return fn
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise InputError(f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _load_inputs(directory: Path, id_classes: str | None):
     """The dataset, split.json and the class split (``--id-classes``, else the
     split's). A split.json that is malformed or does not fit the dataset fails
-    in one line."""
+    in one line that names it."""
     split_path = directory / "split.json"
     if not split_path.exists():
-        raise click.ClickException(f"{split_path} not found; run `goe prepare` first")
+        raise InputError(f"{split_path} not found; run `goe prepare` first")
     graph, manifest = load_dataset(directory)
+    class_split = make_class_split(graph.labels, _parse_int_list(id_classes)) if id_classes else None
     try:
         split, stored_classes = load_split(split_path)
-        classes = _parse_int_list(id_classes) if id_classes else stored_classes
-        if not classes:
-            raise click.ClickException("split.json lacks id_classes; pass --id-classes")
-        class_split = make_class_split(graph.labels, classes)
+        if class_split is None:
+            if stored_classes is None:
+                raise InputError("no id_classes; pass --id-classes")
+            class_split = make_class_split(graph.labels, stored_classes)
         split.validate(graph.labels, class_split)
     except ValueError as exc:
-        raise click.ClickException(f"{split_path}: {exc}") from None
+        raise InputError(f"{split_path}: {exc}") from None
     return graph, manifest, split, class_split
 
 
-@click.group()
+def _run_config(directory: Path, inputs: tuple, method: str, seeds: list[int], out: str,
+                flags: dict) -> harness.ExperimentConfig:
+    """The run config, from the ``--config`` file if one is given, else from the
+    flags shaped like one. The run's dataset directory, method, seeds and
+    output directory stand in for the file's own, and split.json gives the
+    four set sizes the file leaves out. A config file must name the ID classes
+    the run trains on (from split.json or ``--id-classes``)."""
+    _, _, split, class_split = inputs
+    classes, path = class_split.id_classes, flags.get("config_path")
+    k = len(classes)
+    sizes = dict(train_per_class=len(split.train_id) // k, val_per_class=len(split.val_id) // k,
+                 test_id_size=len(split.test_id), test_ood_size=len(split.test_ood))
+    try:
+        given = json.loads(Path(path).read_text()) if path else _flags_config(classes, flags)
+        if not isinstance(given, dict):
+            raise InputError("not a JSON object")
+        config = harness.ExperimentConfig.from_dict({
+            **sizes, **given, "dataset_dir": str(directory), "method": method,
+            "seeds": seeds, "output_dir": out})
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        if not path:
+            raise
+        raise InputError(f"{path}: {exc}") from None
+    if config.id_classes != classes:
+        raise InputError(f"{path} has id_classes {config.id_classes}, but the run trains "
+                         f"on {classes} from split.json or --id-classes")
+    return config
+
+
+def _flags_config(classes: list[int], flags: dict) -> dict:
+    """The flags as a config file would give them; a flag left out keeps the
+    config's default."""
+    def given(names) -> dict:
+        return {name: flags[name] for name in names if name in flags}
+
+    data = {"id_classes": classes, "train": given(_TRAIN_FLAGS),
+            "llm": given(_DEFAULTS.llm.to_dict()), **given(("pseudo_source", "pseudo_validation"))}
+    data["llm"]["client"] = ("replay" if flags["replay_path"]
+                             else "remote" if flags["remote"] else "mock")
+    if flags.get("exposure_weight") is not None:
+        data["exposure_weights"] = [flags["exposure_weight"]]
+    return data
+
+
+class _Main(click.Group):
+    """The one error boundary: an ``InputError`` or a missing file prints one
+    ``Error:`` line and exits 1; any other exception keeps its traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (InputError, FileNotFoundError) as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Graph OOD detection with LLM-derived pseudo-outlier exposure."""
+
+
+_id_classes_option = click.option("--id-classes", default=None,
+                                  help="Override ID classes from split.json.")
+_sample_option = click.option("--sample", "sample_size", default=_DEFAULTS.llm.sample_size,
+                              show_default=True, help="Annotation sample size.")
+_per_class_option = click.option("--per-class", default=_DEFAULTS.llm.per_class,
+                                 show_default=True, help="Generated nodes per OOD category.")
+_seeds_option = click.option("--seeds", default=",".join(map(str, _DEFAULTS.seeds)),
+                             show_default=True)
+
+
+def _llm_options(fn):
+    fn = click.option("--mock", is_flag=True, default=False,
+                      help="Use the deterministic offline chat model (default).")(fn)
+    fn = click.option("--replay", "replay_path", type=click.Path(exists=True, dir_okay=False),
+                      default=None, help="Replay chat responses from this cache file.")(fn)
+    fn = click.option("--remote", is_flag=True, default=False,
+                      help="Call the configured remote chat endpoint.")(fn)
+    fn = click.option("--model", default=_DEFAULTS.llm.model, show_default=True,
+                      help="Chat model name.")(fn)
+    fn = click.option("--cache", "chat_cache", type=click.Path(dir_okay=False), default=None,
+                      help="Chat cache file (default <dir>/annotations.jsonl).")(fn)
+    return fn
+
+
+def _run_options(fn):
+    """The options of train, compare and sweep-count: the flags a config file
+    would give, the chat flags, and the run's config file and output directory."""
+    for name in _TRAIN_FLAGS:
+        fn = click.option("--" + name.replace("_", "-"), default=getattr(_DEFAULTS.train, name),
+                          show_default=True)(fn)
+    fn = click.option("--exposure-weight", default=None, type=float,
+                      help="Pin the exposure weight instead of validating over "
+                           f"{{{', '.join(map(str, _DEFAULTS.exposure_weights))}}}.")(fn)
+    fn = click.option("--provider", default=_DEFAULTS.llm.provider, show_default=True,
+                      type=click.Choice(["hash", "centroid", "precomputed", "remote"]),
+                      help="Embedding provider for generated nodes.")(fn)
+    fn = click.option("--provider-path", default=None,
+                      type=click.Path(exists=True, dir_okay=False),
+                      help="Precomputed embedding file.")(fn)
+    fn = click.option("--pseudo-source", default=_DEFAULTS.pseudo_source, show_default=True,
+                      type=click.Choice(["identifier", "generator"]),
+                      help="Pseudo-OOD source for kplus1 / binary_head.")(fn)
+    fn = click.option("--pseudo-val", "pseudo_validation", is_flag=True, default=False,
+                      help="Early-stop on held-out pseudo-OOD nodes instead of "
+                           "real OOD validation nodes.")(fn)
+    fn = _llm_options(_per_class_option(_sample_option(fn)))
+    fn = click.option("--config", "config_path", default=None,
+                      type=click.Path(exists=True, dir_okay=False),
+                      help="Load a full experiment config JSON instead of flags.")(fn)
+    fn = _id_classes_option(fn)
+    return click.option("--out", default=None, type=click.Path(file_okay=False),
+                        help="Run directory (default <dir>/runs/<method> for train, "
+                             "else <dir>/runs/<command>).")(fn)
 
 
 @main.command()
@@ -99,10 +197,7 @@ def main():
 @click.option("--dim", default=16, show_default=True)
 def synth(directory: str, seed: int, nodes_per_class: int, dim: int):
     """Write a seeded synthetic planted dataset for offline experiments."""
-    try:
-        graph, manifest = make_planted_tag(seed=seed, nodes_per_class=nodes_per_class, dim=dim)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    graph, manifest = make_planted_tag(seed=seed, nodes_per_class=nodes_per_class, dim=dim)
     save_dataset(graph, manifest, directory)
     click.echo(f"wrote {manifest.node_count} nodes, {len(graph.edges)} edges, "
                f"{len(manifest.category_names)} classes to {directory}")
@@ -113,10 +208,10 @@ def synth(directory: str, seed: int, nodes_per_class: int, dim: int):
 @click.option("--id-classes", required=True,
               help="Comma-separated label values treated as in-distribution.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--train-per-class", default=20, show_default=True)
-@click.option("--val-per-class", default=10, show_default=True)
-@click.option("--test-id", default=500, show_default=True)
-@click.option("--test-ood", default=500, show_default=True)
+@click.option("--train-per-class", default=_DEFAULTS.train_per_class, show_default=True)
+@click.option("--val-per-class", default=_DEFAULTS.val_per_class, show_default=True)
+@click.option("--test-id", default=_DEFAULTS.test_id_size, show_default=True)
+@click.option("--test-ood", default=_DEFAULTS.test_ood_size, show_default=True)
 def prepare(directory: str, id_classes: str, seed: int, train_per_class: int,
             val_per_class: int, test_id: int, test_ood: int):
     """Sample the train/val/test node split and save it as split.json."""
@@ -140,26 +235,24 @@ def prepare(directory: str, id_classes: str, seed: int, train_per_class: int,
 
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
-@click.option("--sample", default=200, show_default=True,
-              help="How many unlabeled nodes to annotate.")
-@click.option("--id-classes", default=None, help="Override ID classes from split.json.")
+@_sample_option
+@_id_classes_option
 @click.option("--seed", default=None, type=int,
               help="Sampling seed (default: the split's seed).")
-@click.option("--concurrency", default=4, show_default=True)
+@click.option("--concurrency", default=_DEFAULTS.llm.concurrency, show_default=True)
 @_llm_options
-def annotate(directory: str, sample: int, id_classes: str | None, seed: int | None,
-             concurrency: int, mock: bool, replay: str | None, remote: bool,
-             model: str, cache: str | None):
+def annotate(directory: str, id_classes: str | None, seed: int | None, **flags):
     """Ask the chat model to flag pseudo-OOD nodes among unlabeled ones."""
     directory = Path(directory)
-    graph, manifest, split, class_split = _load_inputs(directory, id_classes)
+    graph, manifest, split, class_split = inputs = _load_inputs(directory, id_classes)
     seed = split.seed if seed is None else seed
-
-    client, chat_cache = _chat(directory, replay, remote, cache)
+    config = _run_config(directory, inputs, "goe_identifier", [seed], str(directory), flags)
+    chat_cache = llm.ChatCache(harness.default_cache_path(config))
     pseudo, annotations = llm.identify_pseudo_ood(
         graph, manifest, class_split, split,
-        client=client, cache=chat_cache, sample_size=sample, seed=seed,
-        model=model, concurrency=concurrency,
+        client=harness.build_chat_client(config), cache=chat_cache,
+        sample_size=config.llm.sample_size, seed=seed,
+        model=config.llm.model, concurrency=config.llm.concurrency,
     )
     llm.save_pseudo_set(pseudo, directory / "pseudo_ood.json")
     accuracy = llm.annotation_accuracy(annotations, graph.labels, class_split)
@@ -170,21 +263,20 @@ def annotate(directory: str, sample: int, id_classes: str | None, seed: int | No
 
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
-@click.option("--per-class", default=10, show_default=True,
-              help="Generated nodes per OOD category.")
-@click.option("--id-classes", default=None, help="Override ID classes from split.json.")
+@_per_class_option
+@_id_classes_option
 @_llm_options
-def generate(directory: str, per_class: int, id_classes: str | None, mock: bool,
-             replay: str | None, remote: bool, model: str, cache: str | None):
+def generate(directory: str, id_classes: str | None, **flags):
     """Ask the chat model to write synthetic OOD texts (generated.jsonl)."""
     directory = Path(directory)
-    _, manifest, _, class_split = _load_inputs(directory, id_classes)
+    _, manifest, split, class_split = inputs = _load_inputs(directory, id_classes)
+    config = _run_config(directory, inputs, "goe_generator", [split.seed], str(directory),
+                         flags)
     ood_names = [manifest.category_names[c] for c in class_split.ood_classes]
-
-    client, chat_cache = _chat(directory, replay, remote, cache)
     nodes, warnings = llm.generate_pseudo_ood(
-        ood_names, per_class=per_class, object_kind=manifest.object_kind,
-        client=client, cache=chat_cache, model=model,
+        ood_names, per_class=config.llm.per_class, object_kind=manifest.object_kind,
+        client=harness.build_chat_client(config),
+        cache=llm.ChatCache(harness.default_cache_path(config)), model=config.llm.model,
     )
     llm.save_generated(nodes, directory / "generated.jsonl")
     click.echo(f"generated {len(nodes)} pseudo-OOD nodes "
@@ -194,104 +286,20 @@ def generate(directory: str, per_class: int, id_classes: str | None, mock: bool,
                    f"of {warning['requested']} requested")
 
 
-def _train_options(fn):
-    fn = click.option("--hidden-dim", default=32, show_default=True)(fn)
-    fn = click.option("--learning-rate", default=0.01, show_default=True)(fn)
-    fn = click.option("--dropout", default=0.5, show_default=True)(fn)
-    fn = click.option("--weight-decay", default=5e-4, show_default=True)(fn)
-    fn = click.option("--max-epochs", default=200, show_default=True)(fn)
-    fn = click.option("--patience", default=20, show_default=True)(fn)
-    fn = click.option("--margin-id", default=-5.0, show_default=True)(fn)
-    fn = click.option("--margin-ood", default=-1.0, show_default=True)(fn)
-    fn = click.option("--exposure-weight", default=None, type=float,
-                      help="Pin the exposure weight instead of validating over {0.01, 0.05}.")(fn)
-    fn = click.option("--provider", default="hash", show_default=True,
-                      type=click.Choice(["hash", "centroid", "precomputed", "remote"]),
-                      help="Embedding provider for generated nodes.")(fn)
-    fn = click.option("--provider-path", default=None,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="Precomputed embedding file.")(fn)
-    fn = click.option("--pseudo-source", default="identifier", show_default=True,
-                      type=click.Choice(["identifier", "generator"]),
-                      help="Pseudo-OOD source for kplus1 / binary_head.")(fn)
-    fn = click.option("--pseudo-val", is_flag=True, default=False,
-                      help="Early-stop on held-out pseudo-OOD nodes instead of "
-                           "real OOD validation nodes.")(fn)
-    fn = click.option("--sample", default=200, show_default=True,
-                      help="Annotation sample size for identifier-based methods.")(fn)
-    fn = click.option("--per-class", default=10, show_default=True,
-                      help="Generated nodes per OOD category for generator-based methods.")(fn)
-    return fn
-
-
-def _run_config(directory: Path, split, classes: list[int], method: str, seeds: list[int],
-                out: str, config_path: str | None, flags: dict) -> harness.ExperimentConfig:
-    """The ``--config`` file if one is given, else the flags. The run's dataset
-    directory, method, seeds and output directory stand in for the file's own,
-    so a file may leave them out. A config file must name the ID classes the
-    run trains on (from split.json or ``--id-classes``)."""
-    if config_path:
-        try:
-            data = json.loads(Path(config_path).read_text())
-            if not isinstance(data, dict):
-                raise ValueError("not a JSON object")
-            data.update(dataset_dir=str(directory), method=method, seeds=seeds, output_dir=out)
-            config = harness.ExperimentConfig.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise click.ClickException(f"{config_path}: {exc}") from None
-        if config.id_classes != classes:
-            raise click.ClickException(
-                f"{config_path} has id_classes {config.id_classes}, but the run trains "
-                f"on {classes} from split.json or --id-classes")
-    else:
-        train_cfg = gcn.TrainConfig(
-            hidden_dim=flags["hidden_dim"], learning_rate=flags["learning_rate"],
-            dropout=flags["dropout"], weight_decay=flags["weight_decay"],
-            max_epochs=flags["max_epochs"], patience=flags["patience"],
-            margin_id=flags["margin_id"], margin_ood=flags["margin_ood"],
-        )
-        weight = flags["exposure_weight"]
-        k = len(classes)
-        config = harness.ExperimentConfig(
-            dataset_dir=str(directory), id_classes=classes, method=method, seeds=seeds,
-            output_dir=out, train=train_cfg,
-            llm=_llm_settings(flags["replay"], flags["remote"], model=flags["model"],
-                              chat_cache=flags["cache"], sample_size=flags["sample"],
-                              per_class=flags["per_class"], provider=flags["provider"],
-                              provider_path=flags["provider_path"]),
-            exposure_weights=[weight] if weight is not None else [0.01, 0.05],
-            pseudo_source=flags["pseudo_source"], pseudo_validation=flags["pseudo_val"],
-            train_per_class=len(split.train_id) // k, val_per_class=len(split.val_id) // k,
-            test_id_size=len(split.test_id), test_ood_size=len(split.test_ood),
-        )
-    config.validate()
-    return config
-
-
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @click.option("--method", required=True, type=click.Choice(harness.ALL_METHODS))
 @click.option("--seed", default=None, type=int,
               help="Training seed (default: the split's seed).")
-@click.option("--out", default=None, type=click.Path(file_okay=False),
-              help="Run directory (default <dir>/runs/<method>).")
-@click.option("--id-classes", default=None, help="Override ID classes from split.json.")
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Load a full experiment config JSON instead of flags.")
-@_llm_options
-@_train_options
-def train(directory: str, method: str, seed: int | None, out: str | None,
-          id_classes: str | None, config_path: str | None, **flags):
+@_run_options
+def train(directory: str, method: str, seed: int | None, **flags):
     """Train one seed on the saved split and write report.json + scores.csv."""
     directory = Path(directory)
-    graph, manifest, split, class_split = _load_inputs(directory, id_classes)
+    graph, manifest, split, class_split = inputs = _load_inputs(directory, flags["id_classes"])
     seed = split.seed if seed is None else seed
-    out = out or str(directory / "runs" / method)
-    config = _run_config(directory, split, class_split.id_classes, method, [seed], out,
-                         config_path, flags)
-    outcome = harness.run_seed(graph, manifest, class_split, config, seed,
-                               split=split)
+    out = flags["out"] or str(directory / "runs" / method)
+    config = _run_config(directory, inputs, method, [seed], out, flags)
+    outcome = harness.run_seed(graph, manifest, class_split, config, seed, split=split)
     out_dir = Path(out)
     harness.write_scores_csv(outcome.test_rows, out_dir / "scores.csv")   # makes out_dir
     gcn.save_params(outcome.params, out_dir / "params.bin")
@@ -304,12 +312,10 @@ def train(directory: str, method: str, seed: int | None, out: str | None,
 
 
 def _score_files(run_dir: Path) -> list[Path]:
-    """A run's score files: `goe train`'s flat scores.csv, then seed-*/scores.csv."""
-    flat = run_dir / "scores.csv"
-    files = ([flat] if flat.exists() else []) + sorted(run_dir.glob("seed-*/scores.csv"))
-    if not files:
-        raise click.ClickException(f"no scores.csv under {run_dir}")
-    return files
+    """The score files that the run record config.json lists, not the stale ones
+    an earlier run into the directory left. A missing file fails in one line."""
+    artifacts = json.loads((run_dir / "config.json").read_text())["artifacts"]
+    return [run_dir / name for name in artifacts if Path(name).name == "scores.csv"]
 
 
 @main.command("eval")
@@ -337,27 +343,17 @@ def eval_cmd(run_dir: str):
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @click.option("--methods", default="msp,entropy,energy,energy_prop,goe_identifier,goe_generator",
               show_default=True, help="Comma-separated method list.")
-@click.option("--seeds", default="0,1,2,3,4", show_default=True)
-@click.option("--out", default=None, type=click.Path(file_okay=False))
-@click.option("--id-classes", default=None)
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
-@_llm_options
-@_train_options
-def compare(directory: str, methods: str, seeds: str, out: str | None,
-            id_classes: str | None, config_path: str | None, **flags):
+@_seeds_option
+@_run_options
+def compare(directory: str, methods: str, seeds: str, **flags):
     """Run several methods over the same seeds and write a results table."""
     directory = Path(directory)
-    _, _, split, class_split = _load_inputs(directory, id_classes)
-    classes = class_split.id_classes
-    seed_list = _parse_int_list(seeds)
-    out = out or str(directory / "runs" / "compare")
-    method_list = [m.strip() for m in methods.split(",") if m.strip()]
-
+    inputs = _load_inputs(directory, flags["id_classes"])
+    out = flags["out"] or str(directory / "runs" / "compare")
     reports = []
-    for method in method_list:
-        config = _run_config(directory, split, classes, method, seed_list,
-                             str(Path(out) / method), config_path, flags)
+    for method in [m.strip() for m in methods.split(",") if m.strip()]:
+        config = _run_config(directory, inputs, method, _parse_int_list(seeds),
+                             str(Path(out) / method), flags)
         reports.append(harness.run_experiment(config))
         mean = reports[-1].mean
         click.echo(f"{method}: auroc {mean['auroc']:.4f} id_acc {mean['id_acc']:.4f}")
@@ -371,25 +367,15 @@ def compare(directory: str, methods: str, seeds: str, out: str | None,
 @main.command("sweep-count")
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @click.option("--counts", default="0,2,3,5,10,20", show_default=True)
-@click.option("--seeds", default="0,1,2,3,4", show_default=True)
-@click.option("--out", default=None, type=click.Path(file_okay=False))
-@click.option("--id-classes", default=None)
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
-@_llm_options
-@_train_options
-def sweep_count(directory: str, counts: str, seeds: str, out: str | None,
-                id_classes: str | None, config_path: str | None, **flags):
+@_seeds_option
+@_run_options
+def sweep_count(directory: str, counts: str, seeds: str, **flags):
     """Ablate the number of generated pseudo-OOD nodes (0 = no exposure)."""
     directory = Path(directory)
-    _, _, split, class_split = _load_inputs(directory, id_classes)
-    classes = class_split.id_classes
-    seed_list = _parse_int_list(seeds)
-    count_list = _parse_int_list(counts)
-    out = out or str(directory / "runs" / "sweep-count")
-    config = _run_config(directory, split, classes, "goe_generator", seed_list, out,
-                         config_path, flags)
-    rows = harness.sweep_pseudo_count(config, count_list)
+    inputs = _load_inputs(directory, flags["id_classes"])
+    out = flags["out"] or str(directory / "runs" / "sweep-count")
+    config = _run_config(directory, inputs, "goe_generator", _parse_int_list(seeds), out, flags)
+    rows = harness.sweep_pseudo_count(config, _parse_int_list(counts))
     for row in rows:
         click.echo(f"count {row['count']:>3}: auroc {row['auroc']:.4f} "
                    f"id_acc {row['id_acc']:.4f}")

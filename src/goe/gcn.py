@@ -48,6 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import metrics, scoring
+from .graph import InputError
 from .objectives import ObjectiveSpec, binary_head_loss, objective_loss
 
 _TENSOR_NAMES = ("w1", "b1", "w2", "b2")
@@ -181,7 +182,7 @@ def _keep_threshold(keep: float) -> int:
     """``keep`` in units of 2⁻¹⁶, the resolution of a mask's 16-bit lanes."""
     t = round(keep * 2**16)
     if not 0 < t <= 2**16:
-        raise ValueError(f"keep probability {keep!r} rounds to {t}/65536, outside (0, 1]")
+        raise InputError(f"keep probability {keep!r} rounds to {t}/65536, outside (0, 1]")
     return t
 
 
@@ -388,14 +389,17 @@ class TrainConfig:
 
     def validate(self) -> None:
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise InputError("dropout must lie in [0, 1)")
         _keep_threshold(1.0 - self.dropout)
+        for name, low in (("hidden_dim", 1), ("max_epochs", 1), ("weight_decay", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InputError("learning_rate must be positive")
         if self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
+            raise InputError("patience must not exceed max_epochs")
         if not self.margin_ood > self.margin_id:
-            raise ValueError("margin_ood must exceed margin_id")
+            raise InputError("margin_ood must exceed margin_id")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -410,7 +414,7 @@ def known_keys(cls, data: dict, section: str) -> dict:
     names = {f.name for f in dataclasses.fields(cls)}
     for key in data:
         if key not in names:
-            raise ValueError(f"unknown {section} key {key!r}")
+            raise InputError(f"unknown {section} key {key!r}")
     return data
 
 

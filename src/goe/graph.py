@@ -10,7 +10,7 @@ A dataset directory holds four files:
     embeddings.bin   8-byte header (u32 rows, u32 cols, little-endian) followed by
                      rows*cols IEEE-754 float32 values, row-major
 
-A malformed line of nodes.jsonl or edges.tsv is reported as a ``ValueError``
+A malformed line of nodes.jsonl or edges.tsv is reported as an ``InputError``
 naming the file and the line's 1-based number.
 
 Node splits travel as split.json with the node-id sets for training,
@@ -42,6 +42,11 @@ STREAM_HEAD_BALANCE = 6
 STREAM_PSEUDO_VAL = 7
 
 
+class InputError(ValueError):
+    """A fault in what the user gave (a file, a flag or a config value); the CLI
+    prints it as one ``Error:`` line, while any other exception keeps its traceback."""
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Named RNG stream derived from a base seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
@@ -68,26 +73,26 @@ class TextAttributedGraph:
     def validate(self) -> None:
         n = self.node_count
         if len(self.texts) != n:
-            raise ValueError(f"row-count mismatch: {len(self.texts)} texts for {n} nodes")
+            raise InputError(f"row-count mismatch: {len(self.texts)} texts for {n} nodes")
         if self.embeddings.shape[0] != n:
-            raise ValueError(
+            raise InputError(
                 f"row-count mismatch: {self.embeddings.shape[0]} embedding rows for {n} nodes"
             )
         if self.labels.shape[0] != n:
-            raise ValueError(f"row-count mismatch: {self.labels.shape[0]} labels for {n} nodes")
+            raise InputError(f"row-count mismatch: {self.labels.shape[0]} labels for {n} nodes")
         if not np.all(np.isfinite(self.embeddings)):
-            raise ValueError("non-finite embedding entry")
+            raise InputError("non-finite embedding entry")
         if self.edges.size:
             if self.edges.min() < 0 or self.edges.max() >= n:
-                raise ValueError("edge index out of range")
+                raise InputError("edge index out of range")
             if np.any(self.edges[:, 0] == self.edges[:, 1]):
-                raise ValueError("self-loop in edge list")
+                raise InputError("self-loop in edge list")
             if np.any(self.edges[:, 0] > self.edges[:, 1]):
-                raise ValueError("edge list not canonical (expected i < j)")
+                raise InputError("edge list not canonical (expected i < j)")
             key = self.edges[:, 0].astype(np.int64) * n + self.edges[:, 1]
             # Sorted edge lists (every list this module builds) skip the sort.
             if np.any(key[1:] <= key[:-1]) and np.any(np.diff(np.sort(key)) == 0):
-                raise ValueError("duplicate undirected edge")
+                raise InputError("duplicate undirected edge")
 
 
 @dataclass
@@ -100,9 +105,9 @@ class DatasetManifest:
 
     def validate(self) -> None:
         if self.embedding_dim <= 0:
-            raise ValueError("embedding_dim must be positive")
+            raise InputError("embedding_dim must be positive")
         if not self.category_names:
-            raise ValueError("category_names must be non-empty")
+            raise InputError("category_names must be non-empty")
 
 
 @dataclass
@@ -159,15 +164,15 @@ class DataSplit:
         sets = self.all_sets()
         union = np.concatenate(list(sets.values()))
         if union.size and (union.min() < 0 or union.max() >= len(labels)):
-            raise ValueError("split holds a node id outside the graph")
+            raise InputError("split holds a node id outside the graph")
         if len(np.unique(union)) != len(union):
-            raise ValueError("split sets are not pairwise disjoint")
+            raise InputError("split sets are not pairwise disjoint")
         for name in ("train_id", "val_id", "test_id"):
             if not np.all(np.isin(labels[sets[name]], class_split.id_classes)):
-                raise ValueError(f"{name} contains a node whose label is not an ID class")
+                raise InputError(f"{name} contains a node whose label is not an ID class")
         for name in ("val_ood", "test_ood"):
             if not np.all(np.isin(labels[sets[name]], class_split.ood_classes)):
-                raise ValueError(f"{name} contains a node whose label is not an OOD class")
+                raise InputError(f"{name} contains a node whose label is not an OOD class")
 
 
 def unique_edges(lo: np.ndarray, hi: np.ndarray, node_count: int) -> np.ndarray:
@@ -191,9 +196,9 @@ def canonicalize_edges(pairs: np.ndarray, node_count: int) -> np.ndarray:
     if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if pairs.min() < 0 or pairs.max() >= node_count:
-        raise ValueError("edge index out of range")
+        raise InputError("edge index out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
-        raise ValueError("self-loop in edge list")
+        raise InputError("self-loop in edge list")
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     return unique_edges(lo, hi, node_count)
@@ -206,11 +211,11 @@ def canonicalize_edges(pairs: np.ndarray, node_count: int) -> np.ndarray:
 def _read_embeddings_bin(path: Path) -> np.ndarray:
     raw = path.read_bytes()
     if len(raw) < 8:
-        raise ValueError(f"{path.name}: truncated header")
+        raise InputError(f"{path.name}: truncated header")
     rows, cols = struct.unpack("<II", raw[:8])
     expected = 8 + rows * cols * 4
     if len(raw) != expected:
-        raise ValueError(f"{path.name}: expected {expected} bytes, found {len(raw)}")
+        raise InputError(f"{path.name}: expected {expected} bytes, found {len(raw)}")
     mat = np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, cols)
     return np.ascontiguousarray(mat)
 
@@ -288,13 +293,13 @@ def _parse_node_lines(lines: list[str], first: int, name: str) -> tuple[list, li
             obj = json.loads(line)
             node_id, text, label = obj["id"], obj["text"], obj["label"]
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{name} line {number}: invalid JSON "
+            raise InputError(f"{name} line {number}: invalid JSON "
                              f"({exc.msg} at column {exc.colno})") from None
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{name} line {number}: bad node record ({exc!r})") from None
+            raise InputError(f"{name} line {number}: bad node record ({exc!r})") from None
         kinds = (type(node_id), type(text), type(label))
         if kinds != (int, str, int):
-            raise ValueError(f"{name} line {number}: bad node record (id, text, label are "
+            raise InputError(f"{name} line {number}: bad node record (id, text, label are "
                              f"{', '.join(kind.__name__ for kind in kinds)})")
         ids.append(node_id)
         texts.append(text)
@@ -306,7 +311,7 @@ def _int64(values: list[int], error: str) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        raise ValueError(error) from None
+        raise InputError(error) from None
 
 
 def _id_order(ids: np.ndarray) -> np.ndarray | None:
@@ -322,9 +327,9 @@ def _id_order(ids: np.ndarray) -> np.ndarray | None:
     ranked = ids[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if repeats.size:
-        raise ValueError(f"duplicate node id {ids[repeats.min()]}")
+        raise InputError(f"duplicate node id {ids[repeats.min()]}")
     if ranked[0] != 0 or ranked[-1] != n - 1:
-        raise ValueError("node ids must be exactly 0..n-1")
+        raise InputError("node ids must be exactly 0..n-1")
     return order
 
 
@@ -351,7 +356,7 @@ def _parse_edge_lines(path: Path, node_count: int) -> np.ndarray:
                 else:
                     pairs.append((i, j))
                     continue
-            raise ValueError(f"{path.name} line {number}: {reason}")
+            raise InputError(f"{path.name} line {number}: {reason}")
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -372,18 +377,28 @@ def _read_edges(path: Path, node_count: int) -> np.ndarray:
     return canonicalize_edges(_parse_edge_lines(path, node_count), node_count)
 
 
+# manifest.json's fields, as JSON types: ints are ints, not floats or bools
+_MANIFEST_FIELDS = {"name": (str, "a string"), "object_kind": (str, "a string"),
+                    "category_names": (list, "a list of strings"),
+                    "embedding_dim": (int, "an integer"), "node_count": (int, "an integer")}
+
+
 def load_manifest(directory: Path | str) -> DatasetManifest:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
-    data = json.loads(path.read_text())
-    manifest = DatasetManifest(
-        name=data["name"],
-        object_kind=data["object_kind"],
-        category_names=list(data["category_names"]),
-        embedding_dim=int(data["embedding_dim"]),
-        node_count=int(data["node_count"]),
-    )
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"manifest.json: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise InputError("manifest.json: not a JSON object")
+    for name, (kind, what) in _MANIFEST_FIELDS.items():
+        value = data.get(name)
+        if type(value) is not kind or (kind is list and {type(v) for v in value} - {str}):
+            got = json.dumps(value) if name in data else "nothing"
+            raise InputError(f"manifest.json: {name} must be {what}, got {got}")
+    manifest = DatasetManifest(**{name: data[name] for name in _MANIFEST_FIELDS})
     manifest.validate()
     return manifest
 
@@ -406,19 +421,19 @@ def load_dataset(directory: Path | str) -> tuple[TextAttributedGraph, DatasetMan
     num_classes = len(manifest.category_names)
     bad = (labels != LABEL_UNAVAILABLE) & ((labels < 0) | (labels >= num_classes))
     if np.any(bad):
-        raise ValueError("label out of range for manifest category_names")
+        raise InputError("label out of range for manifest category_names")
 
     edges = _read_edges(directory / "edges.tsv", n)
 
     embeddings = _read_embeddings_bin(directory / "embeddings.bin")
     if embeddings.shape[0] != n:
-        raise ValueError(
+        raise InputError(
             f"row-count mismatch: {embeddings.shape[0]} embedding rows for {n} nodes"
         )
     if embeddings.shape[1] != manifest.embedding_dim:
-        raise ValueError("embedding_dim in manifest does not match embeddings.bin")
+        raise InputError("embedding_dim in manifest does not match embeddings.bin")
     if manifest.node_count != n:
-        raise ValueError("node_count in manifest does not match nodes.jsonl")
+        raise InputError("node_count in manifest does not match nodes.jsonl")
 
     graph = TextAttributedGraph(
         node_count=n, edges=edges, texts=texts, embeddings=embeddings, labels=labels
@@ -503,13 +518,13 @@ def make_class_split(labels: np.ndarray, id_class_list: list[int]) -> ClassSplit
     classification task is well posed.
     """
     if len(id_class_list) < 2:
-        raise ValueError("at least 2 ID classes are required")
+        raise InputError("at least 2 ID classes are required")
     if len(set(id_class_list)) != len(id_class_list):
-        raise ValueError("duplicate values in id_class_list")
+        raise InputError("duplicate values in id_class_list")
     present = set(int(v) for v in np.unique(labels) if v != LABEL_UNAVAILABLE)
     for value in id_class_list:
         if value not in present:
-            raise ValueError(f"unknown label value {value}")
+            raise InputError(f"unknown label value {value}")
     ood = sorted(present - set(id_class_list))
     return ClassSplit(id_classes=[int(v) for v in id_class_list], ood_classes=ood)
 
@@ -549,7 +564,7 @@ def sample_data_split(
     for cls in class_split.id_classes:
         pool = np.flatnonzero(labels == cls)
         if len(pool) < train_per_class + val_per_class:
-            raise ValueError(f"insufficient ID nodes in class {cls}")
+            raise InputError(f"insufficient ID nodes in class {cls}")
         picked = rng_train.choice(pool, size=train_per_class, replace=False)
         train_parts.append(picked)
         remaining = np.setdiff1d(pool, picked)
@@ -560,12 +575,12 @@ def sample_data_split(
     id_pool = np.flatnonzero(np.isin(labels, class_split.id_classes))
     id_remaining = np.setdiff1d(id_pool, np.concatenate([train_id, val_id]))
     if len(id_remaining) < test_id_size:
-        raise ValueError("insufficient ID nodes")
+        raise InputError("insufficient ID nodes")
     test_id = np.sort(rng_test_id.choice(id_remaining, size=test_id_size, replace=False))
 
     ood_pool = np.flatnonzero(np.isin(labels, class_split.ood_classes))
     if len(ood_pool) < val_per_class * k + test_ood_size:
-        raise ValueError("insufficient OOD nodes")
+        raise InputError("insufficient OOD nodes")
     val_ood = np.sort(rng_val_ood.choice(ood_pool, size=val_per_class * k, replace=False))
     ood_remaining = np.setdiff1d(ood_pool, val_ood)
     test_ood = np.sort(rng_test_ood.choice(ood_remaining, size=test_ood_size, replace=False))
@@ -589,14 +604,22 @@ def save_split(split: DataSplit, path: Path | str,
 
 
 def load_split(path: Path | str) -> tuple[DataSplit, list[int] | None]:
-    """Read split.json; a node-id set that is not a list of JSON integers fails."""
+    """Read split.json. A node-id set or ``id_classes`` that is not a list of
+    JSON integers fails, and so does a ``seed`` that is not one."""
     data = json.loads(Path(path).read_text())
-    sets = {}
-    for name in ("train_id", "val_id", "val_ood", "test_id", "test_ood"):
-        ids = data.get(name)
-        if not (isinstance(ids, list) and all(type(v) is int for v in ids)):
-            raise ValueError(f"{name} is not a list of integer node ids")
-        sets[name] = _int64(sorted(ids), f"{name} holds a node id outside the graph")
-    split = DataSplit(**sets, seed=int(data["seed"]))
-    id_classes = [int(v) for v in data["id_classes"]] if "id_classes" in data else None
-    return split, id_classes
+    if not isinstance(data, dict):
+        raise InputError("not a JSON object")
+
+    def ints(name: str, what: str) -> list[int]:
+        values = data.get(name)
+        if not (isinstance(values, list) and all(type(v) is int for v in values)):
+            raise InputError(f"{name} is not a list of integer {what}")
+        return values
+
+    sets = {name: _int64(sorted(ints(name, "node ids")),
+                         f"{name} holds a node id outside the graph")
+            for name in ("train_id", "val_id", "val_ood", "test_id", "test_ood")}
+    if type(data.get("seed")) is not int:
+        raise InputError("seed is not an integer")
+    id_classes = ints("id_classes", "label values") if "id_classes" in data else None
+    return DataSplit(**sets, seed=data["seed"]), id_classes

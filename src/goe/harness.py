@@ -26,6 +26,7 @@ from .graph import (
     STREAM_PSEUDO_VAL,
     ClassSplit,
     DataSplit,
+    InputError,
     TextAttributedGraph,
     load_dataset,
     make_class_split,
@@ -114,10 +115,18 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.method not in ALL_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InputError(f"unknown method {self.method!r}")
         self.train.validate()
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise InputError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InputError(f"seeds must be distinct, got {self.seeds}")
+        if not self.exposure_weights or min(self.exposure_weights) < 0:
+            raise InputError("exposure_weights must be a non-empty list of weights >= 0, "
+                             f"got {self.exposure_weights}")
+        for name in ("sample_size", "per_class"):
+            if getattr(self.llm, name) < 1:
+                raise InputError(f"llm.{name} must be at least 1, got {getattr(self.llm, name)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)   # train and llm become dicts too
@@ -194,7 +203,7 @@ def build_chat_client(config: ExperimentConfig):
         return llm.ReplayChatClient(path)
     if kind == "remote":
         return llm.HttpChatClient()
-    raise ValueError(f"unknown chat client kind {kind!r}")
+    raise InputError(f"unknown chat client kind {kind!r}")
 
 
 def build_embedding_provider(config: ExperimentConfig, graph: TextAttributedGraph,
@@ -206,11 +215,11 @@ def build_embedding_provider(config: ExperimentConfig, graph: TextAttributedGrap
         return CentroidEmbeddingProvider(graph, manifest)
     if kind == "precomputed":
         if not config.llm.provider_path:
-            raise ValueError("precomputed provider needs provider_path")
+            raise InputError("precomputed provider needs provider_path")
         return llm.PrecomputedEmbeddingProvider(config.llm.provider_path)
     if kind == "remote":
         return llm.HttpEmbeddingProvider(config.llm.embed_model)
-    raise ValueError(f"unknown embedding provider {kind!r}")
+    raise InputError(f"unknown embedding provider {kind!r}")
 
 
 def _split_total(total: int, buckets: int) -> list[int]:
@@ -227,10 +236,10 @@ def _check_generated_file(nodes: list[llm.GeneratedNode], ood_names: list[str],
     """
     for category, count in Counter(node.category for node in nodes).items():
         if category not in ood_names:
-            raise ValueError(f"{path}: category {category!r} is not an OOD category "
+            raise InputError(f"{path}: category {category!r} is not an OOD category "
                              f"of this run ({', '.join(map(repr, ood_names))})")
         if count > per_class:
-            raise ValueError(f"{path}: {count} nodes for category {category!r}, "
+            raise InputError(f"{path}: {count} nodes for category {category!r}, "
                              f"more than llm.per_class = {per_class}")
 
 
@@ -289,7 +298,7 @@ def build_pseudo_supervision(
                                               knn_k=config.knn_k)
         return pseudo, augmented.graph
 
-    raise ValueError(f"unknown pseudo source {source!r}")
+    raise InputError(f"unknown pseudo source {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +354,7 @@ def run_seed(
     val_split = split
     if config.pseudo_validation and needs_pseudo:
         if len(pseudo.node_ids) < 4:
-            raise ValueError("pseudo-validation needs at least 4 pseudo-OOD nodes")
+            raise InputError("pseudo-validation needs at least 4 pseudo-OOD nodes")
         held_rng = stream_rng(seed, STREAM_PSEUDO_VAL)
         held = np.sort(held_rng.choice(pseudo.node_ids,
                                        size=max(1, len(pseudo.node_ids) // 4),

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .graph import STREAM_ANNOTATION_POOL, TextAttributedGraph, stream_rng, unique_edges
+from .graph import STREAM_ANNOTATION_POOL, InputError, TextAttributedGraph, stream_rng, unique_edges
 
 DEFAULT_MODEL = "gpt-4o-mini"
 IDENTIFY_TEMPERATURE = 0.0
@@ -129,7 +129,7 @@ class ChatCache:
                     rec = json.loads(line)
                 except ValueError as exc:
                     if line.endswith("\n"):
-                        raise ValueError(
+                        raise InputError(
                             f"{self.path}: line {number} is not a chat record: {exc}"
                         ) from None
                     warnings.warn(f"{self.path}: skipping torn last line {number}",
@@ -140,7 +140,7 @@ class ChatCache:
                 key, response = fields.get("key"), fields.get("response")
                 if not (isinstance(key, str) and isinstance(response, str)):
                     name = "response" if isinstance(key, str) else "key"
-                    raise ValueError(f"{self.path}: line {number} is not a chat record: "
+                    raise InputError(f"{self.path}: line {number} is not a chat record: "
                                      f"no string {name!r}")
                 self._responses[key] = response
         if not line.endswith("\n"):
@@ -261,7 +261,7 @@ class HttpChatClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         if not self.base_url:
-            raise RuntimeError("no chat endpoint: set GOE_LLM_BASE_URL")
+            raise InputError("no chat endpoint: set GOE_LLM_BASE_URL")
 
     def complete(self, model: str, messages: list[dict], *,
                  temperature: float = 0.0, max_tokens: int = 512) -> str:
@@ -502,7 +502,7 @@ def identify_pseudo_ood(
     """
     pool = annotation_pool(graph, split)
     if len(pool) < sample_size:
-        raise ValueError(
+        raise InputError(
             f"annotation pool ({len(pool)}) smaller than sample size ({sample_size})"
         )
     rng = stream_rng(seed, STREAM_ANNOTATION_POOL)
@@ -701,7 +701,7 @@ def _jsonl_records(path: Path | str, what: str, fields: dict[str, type]):
     """Yield ``(line number, record)`` for each non-blank line of a jsonl file.
 
     A line that is not a JSON object holding each of ``fields`` with its type
-    raises one ``ValueError`` naming the file and the 1-based line.
+    raises one ``InputError`` naming the file and the 1-based line.
     """
     with Path(path).open() as fh:
         for number, line in enumerate(fh, 1):
@@ -710,11 +710,11 @@ def _jsonl_records(path: Path | str, what: str, fields: dict[str, type]):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {number} is not {what}: "
+                raise InputError(f"{path}: line {number} is not {what}: "
                                  f"{exc.msg} at column {exc.pos + 1}") from None
             for name, kind in fields.items():
                 if not (isinstance(rec, dict) and isinstance(rec.get(name), kind)):
-                    raise ValueError(f"{path}: line {number} is not {what}: "
+                    raise InputError(f"{path}: line {number} is not {what}: "
                                      f"no {name!r} of type {kind.__name__}")
             yield number, rec
 
@@ -760,16 +760,16 @@ class PrecomputedEmbeddingProvider:
                                           {"key": str, "vector": list}):
             vec = np.asarray(rec["vector"])
             if vec.ndim != 1 or not vec.size or vec.dtype.kind not in "iuf":
-                raise ValueError(f"{path}: line {number} is not an embedding record: "
+                raise InputError(f"{path}: line {number} is not an embedding record: "
                                  "'vector' is not a non-empty list of numbers")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
-                raise ValueError(f"{path}: line {number}: inconsistent vector dimensions "
+                raise InputError(f"{path}: line {number}: inconsistent vector dimensions "
                                  "in embedding file")
             self._table[rec["key"]] = vec.astype(np.float64)
         if dim is None:
-            raise ValueError("embedding file is empty")
+            raise InputError(f"{path}: embedding file is empty")
         self._dim = int(dim)
 
     @property
@@ -829,7 +829,7 @@ def embed_texts(provider, texts: list[str],
     if matrix.shape[0] != len(texts):
         raise ValueError("provider returned wrong number of rows")
     if expected_dim is not None and matrix.shape[1] != expected_dim:
-        raise ValueError(
+        raise InputError(
             f"embedding dimension mismatch: provider {matrix.shape[1]}, graph {expected_dim}"
         )
     if not np.all(np.isfinite(matrix)):

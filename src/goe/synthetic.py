@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import DatasetManifest, TextAttributedGraph, canonicalize_edges
+from .graph import DatasetManifest, InputError, TextAttributedGraph, canonicalize_edges
 from .llm import hash_unit_vector
 
 PLANTED_CATEGORIES = ("Alpha Dynamics", "Beta Kinetics", "Gamma Morphology")
@@ -111,7 +111,7 @@ def make_planted_tag(
     Classes 0 and 1 are the intended ID classes; class 2 is OOD. Edges are
     mostly intra-community (homophilous), with a small fraction of random
     cross-community links, equal to the per-node `Generator.choice` loop's
-    (module docstring) within Floyd's domain; the checks below raise ValueError.
+    (module docstring) within Floyd's domain; the checks below raise InputError.
     """
     for ok, rule in (
             (intra_degree >= 0, "intra_degree >= 0"), (dim >= 2, "dim >= 2"),
@@ -120,7 +120,7 @@ def make_planted_tag(
             (nodes_per_class <= 10_000 or intra_degree <= nodes_per_class // 50,
              "intra_degree <= nodes_per_class // 50 when nodes_per_class > 10000")):
         if not ok:
-            raise ValueError(f"planted graph needs {rule}; got nodes_per_class={nodes_per_class}, "
+            raise InputError(f"planted graph needs {rule}; got nodes_per_class={nodes_per_class}, "
                              f"intra_degree={intra_degree}, dim={dim}, cross={cross_edge_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(900,)))
     n_classes = len(PLANTED_CATEGORIES)

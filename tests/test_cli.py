@@ -355,3 +355,204 @@ def test_split_that_does_not_fit_the_dataset_fails_in_one_line(small_workspace, 
     assert result.exit_code == 1
     assert result.output == f"Error: {data / 'split.json'}: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+_QUICK = ["--max-epochs", "5", "--patience", "5"]
+
+
+def _train_run(data, out):
+    """A finished `goe train` run in ``out``; returns ``out``."""
+    result = CliRunner().invoke(main, ["train", str(data), "--method", "energy",
+                                       "--out", str(out), *_QUICK])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def _config_file(tmp, **fields):
+    path = tmp / "config.json"
+    path.write_text(json.dumps({"id_classes": [0, 1], **fields}))
+    return str(path)
+
+
+def _train_on_edited(name, edit):
+    """A setup that edits the dataset copy's ``name`` and trains on it."""
+    return lambda d, t: ["train", _edit_json(d / name, edit).parent, "--method", "energy"]
+
+
+def _train_generator_on_a_numeric_title(data, tmp):
+    (data / "generated.jsonl").write_text(
+        json.dumps({"category": "Gamma Morphology", "title": "t", "abstract": "a"}) + "\n"
+        + json.dumps({"category": "Gamma Morphology", "title": 7, "abstract": "a"}) + "\n")
+    return ["train", data, "--method", "goe_generator", *_QUICK]
+
+
+def _eval_with_a_listed_file_missing(data, tmp):
+    run = _train_run(data, tmp / "run")
+    (run / "scores.csv").unlink()
+    return ["eval", run]
+
+
+# (case id, setup(data, tmp) -> argv, a fragment of the one error line)
+INPUT_FAULTS = [
+    ("prepare-unknown-class", lambda d, t: ["prepare", d, "--id-classes", "0,9"],
+     "Error: unknown label value 9"),
+    ("prepare-test-set-too-large",
+     lambda d, t: ["prepare", d, "--id-classes", "0,1", "--test-id", "100000"],
+     "insufficient ID nodes"),
+    ("annotate-sample-too-large", lambda d, t: ["annotate", d, "--sample", "100000"],
+     "smaller than sample size (100000)"),
+    ("annotate-sample-zero", lambda d, t: ["annotate", d, "--sample", "0"],
+     "llm.sample_size must be at least 1"),
+    ("annotate-replay-not-a-cache",
+     lambda d, t: ["annotate", d, "--replay", d / "nodes.jsonl"], "line 1 is not a chat record"),
+    ("annotate-unknown-class", lambda d, t: ["annotate", d, "--id-classes", "0,9"],
+     "Error: unknown label value 9"),   # the flag's fault, so split.json goes unnamed
+    ("generate-per-class-zero", lambda d, t: ["generate", d, "--per-class", "0"],
+     "llm.per_class must be at least 1"),
+    ("train-dropout", lambda d, t: ["train", d, "--method", "energy", "--dropout", "0.99999999"],
+     "keep probability"),
+    ("compare-dropout", lambda d, t: ["compare", d, "--methods", "energy", "--seeds", "0",
+                                      "--dropout", "0.99999999"], "keep probability"),
+    ("sweep-count-dropout", lambda d, t: ["sweep-count", d, "--counts", "0", "--seeds", "0",
+                                          "--dropout", "0.99999999"], "keep probability"),
+    ("patience-over-max-epochs",
+     lambda d, t: ["train", d, "--method", "energy", "--patience", "300"],
+     "patience must not exceed max_epochs"),
+    ("remote-without-endpoint",
+     lambda d, t: ["train", d, "--method", "goe_identifier", "--remote"], "GOE_LLM_BASE_URL"),
+    ("config-sizes-too-large",
+     lambda d, t: ["compare", d, "--methods", "energy", "--seeds", "0",
+                   "--config", _config_file(t, test_id_size=100000)], "insufficient ID nodes"),
+    ("zero-epochs", lambda d, t: ["train", d, "--method", "energy", "--max-epochs", "0",
+                                  "--patience", "0"], "max_epochs must be at least 1"),
+    ("negative-weight-decay",
+     lambda d, t: ["train", d, "--method", "energy", "--weight-decay", "-1"],
+     "weight_decay must be at least 0"),
+    ("zero-hidden-dim", lambda d, t: ["train", d, "--method", "energy", "--hidden-dim", "0"],
+     "hidden_dim must be at least 1"),
+    ("repeated-seeds", lambda d, t: ["compare", d, "--methods", "energy", "--seeds", "0,0"],
+     "seeds must be distinct"),
+    ("seeds-not-integers",
+     lambda d, t: ["compare", d, "--methods", "energy", "--seeds", "0,a"],
+     "'0,a' is not a comma-separated list of integers"),
+    ("no-exposure-weights",
+     lambda d, t: ["train", d, "--method", "goe_identifier",
+                   "--config", _config_file(t, exposure_weights=[])],
+     "exposure_weights must be a non-empty list"),
+    ("negative-exposure-weight",
+     lambda d, t: ["train", d, "--method", "goe_identifier",
+                   "--config", _config_file(t, exposure_weights=[-0.5])],
+     "exposure_weights must be a non-empty list of weights >= 0, got [-0.5]"),
+    ("identifier-sample-zero",
+     lambda d, t: ["train", d, "--method", "goe_identifier", "--sample", "0"],
+     "llm.sample_size must be at least 1"),
+    ("manifest-float-dim", _train_on_edited("manifest.json",
+                                            lambda m: m.update(embedding_dim=16.9)),
+     "manifest.json: embedding_dim must be an integer, got 16.9"),
+    ("manifest-string-count", _train_on_edited("manifest.json",
+                                               lambda m: m.update(node_count="300")),
+     'manifest.json: node_count must be an integer, got "300"'),
+    ("manifest-string-names", _train_on_edited("manifest.json",
+                                               lambda m: m.update(category_names="Alpha")),
+     'manifest.json: category_names must be a list of strings, got "Alpha"'),
+    ("manifest-without-object-kind", _train_on_edited("manifest.json",
+                                                      lambda m: m.pop("object_kind")),
+     "manifest.json: object_kind must be a string, got nothing"),
+    ("split-float-seed", _train_on_edited("split.json", lambda s: s.update(seed=1.7)),
+     "split.json: seed is not an integer"),
+    ("split-without-seed", _train_on_edited("split.json", lambda s: s.pop("seed")),
+     "split.json: seed is not an integer"),
+    ("split-boolean-seed", _train_on_edited("split.json", lambda s: s.update(seed=True)),
+     "split.json: seed is not an integer"),
+    ("split-float-class", _train_on_edited("split.json",
+                                           lambda s: s.update(id_classes=[0, 1.9])),
+     "split.json: id_classes is not a list of integer label values"),
+    ("generated-numeric-title", _train_generator_on_a_numeric_title,
+     "generated.jsonl: line 2 is not a generated node: no 'title' of type str"),
+    ("eval-without-run-record", lambda d, t: ["eval", t], "config.json"),
+    ("export-without-run-record", lambda d, t: ["export-scores", t], "config.json"),
+    ("eval-listed-file-missing", _eval_with_a_listed_file_missing, "scores.csv"),
+]
+
+
+@pytest.mark.parametrize("setup, fragment", [case[1:] for case in INPUT_FAULTS],
+                         ids=[case[0] for case in INPUT_FAULTS])
+def test_input_fault_fails_in_one_line(small_workspace, tmp_path, monkeypatch, setup, fragment):
+    """A bad flag, config value or input file prints one `Error:` line and exits 1."""
+    monkeypatch.delenv("GOE_LLM_BASE_URL", raising=False)
+    data = tmp_path / "data"
+    shutil.copytree(small_workspace / "data", data)
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = [str(arg) for arg in setup(data, work)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: ")
+    assert result.output.count("\n") == 1
+    assert fragment in result.output
+
+
+def test_a_fault_inside_a_run_keeps_its_traceback(small_workspace, tmp_path, monkeypatch):
+    """Only input faults become one line; a plain ValueError from the run is a bug in goe."""
+    from goe import InputError, harness
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug inside the run")
+
+    monkeypatch.setattr(harness, "run_seed", broken)
+    result = CliRunner().invoke(main, ["train", str(small_workspace / "data"), "--method",
+                                       "energy", "--out", str(tmp_path / "run")])
+    assert type(result.exception) is ValueError and not isinstance(result.exception, InputError)
+    assert str(result.exception) == "a bug inside the run"
+    assert result.exc_info[2] is not None
+    assert "Error:" not in result.output
+
+
+def test_config_without_sizes_takes_them_from_the_split(small_workspace, tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, [
+        "compare", str(small_workspace / "data"), "--methods", "energy", "--seeds", "0",
+        "--config", _config_file(tmp_path, train={"max_epochs": 5, "patience": 5}),
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    record = json.loads((out / "energy" / "config.json").read_text())["config"]
+    assert [record[name] for name in ("train_per_class", "val_per_class", "test_id_size",
+                                      "test_ood_size")] == [20, 10, 60, 60]
+
+
+def test_eval_reads_only_the_seeds_of_the_last_run(small_workspace, tmp_path):
+    """A rerun into the same directory leaves the earlier seeds' files; eval skips them."""
+    runner = CliRunner()
+    out = tmp_path / "rr"
+    for seeds in ("0,1", "5"):
+        result = runner.invoke(main, ["compare", str(small_workspace / "data"), "--methods",
+                                      "energy", "--seeds", seeds, "--out", str(out), *_QUICK])
+        assert result.exit_code == 0, result.output
+    assert (out / "energy" / "seed-0" / "scores.csv").exists()
+    result = runner.invoke(main, ["eval", str(out / "energy")])
+    assert result.exit_code == 0, result.output
+    assert [line.split(":")[0] for line in result.output.splitlines()] == ["seed-5",
+                                                                          "stored means"]
+    result = runner.invoke(main, ["export-scores", str(out / "energy")])
+    assert result.exit_code == 0, result.output
+    assert "seed-5" in result.output
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_renders_its_help(command):
+    """Each option a command takes, shared declarations included, is listed once."""
+    import re
+
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    for param in main.commands[command].params:
+        for name in param.opts:
+            if name.startswith("--"):
+                assert len(re.findall(rf"(?<![\w-]){name}(?![\w-])", result.output)) == 1, name
