@@ -106,14 +106,17 @@ def _run_config(directory: Path, inputs: tuple, method: str, seeds: list[int], o
 
 def _flags_config(classes: list[int], flags: dict) -> dict:
     """The flags as a config file would give them; a flag left out keeps the
-    config's default."""
+    config's default. At most one chat client flag may be given."""
     def given(names) -> dict:
         return {name: flags[name] for name in names if name in flags}
 
+    clients = [kind for kind, flag in (("replay", "replay_path"), ("remote", "remote"),
+                                       ("mock", "mock")) if flags[flag]]
+    if len(clients) > 1:
+        raise InputError("give at most one of --mock, --replay and --remote")
     data = {"id_classes": classes, "train": given(_TRAIN_FLAGS),
             "llm": given(_DEFAULTS.llm.to_dict()), **given(("pseudo_source", "pseudo_validation"))}
-    data["llm"]["client"] = ("replay" if flags["replay_path"]
-                             else "remote" if flags["remote"] else "mock")
+    data["llm"]["client"] = clients[0] if clients else "mock"
     if flags.get("exposure_weight") is not None:
         data["exposure_weights"] = [flags["exposure_weight"]]
     return data
@@ -387,6 +390,8 @@ def sweep_count(directory: str, counts: str, seeds: str, **flags):
 @click.option("--bins", default=50, show_default=True)
 def export_scores(run_dir: str, bins: int):
     """Export per-group score histograms (hist.csv) from a run's scores."""
+    if bins < 1:
+        raise InputError(f"--bins must be at least 1, got {bins}")
     run_dir = Path(run_dir)
     source = _score_files(run_dir)[0]
     out_path = run_dir / "hist.csv"

@@ -127,6 +127,12 @@ class ExperimentConfig:
         for name in ("sample_size", "per_class"):
             if getattr(self.llm, name) < 1:
                 raise InputError(f"llm.{name} must be at least 1, got {getattr(self.llm, name)}")
+        for name, ok, rule in (("edge_mode", self.edge_mode in ("none", "knn"), "'none' or 'knn'"),
+                               ("knn_k", self.knn_k >= 0, "at least 0"),
+                               ("prop_alpha", 0 <= self.prop_alpha <= 1, "in [0, 1]"),
+                               ("prop_iterations", self.prop_iterations >= 0, "at least 0")):
+            if not ok:
+                raise InputError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)   # train and llm become dicts too
@@ -231,9 +237,12 @@ def _check_generated_file(nodes: list[llm.GeneratedNode], ood_names: list[str],
                           per_class: int, path: Path) -> None:
     """A generated.jsonl stands in for this run's generation, so it must fit it.
 
-    Every category must be one of the run's OOD categories, with at most
-    ``llm.per_class`` nodes. Fewer is a generation shortfall and is allowed.
+    It must hold at least one node. Every category must be one of the run's
+    OOD categories, with at most ``llm.per_class`` nodes. Fewer is a
+    generation shortfall and is allowed.
     """
+    if not nodes:
+        raise InputError(f"{path} holds no generated nodes")
     for category, count in Counter(node.category for node in nodes).items():
         if category not in ood_names:
             raise InputError(f"{path}: category {category!r} is not an OOD category "
@@ -256,7 +265,7 @@ def build_pseudo_supervision(
     """Return the pseudo-OOD set and the graph training should run on.
 
     Identifier mode leaves the graph untouched; generator mode returns the
-    augmented graph with generated nodes appended.
+    augmented graph, whose generated nodes (ids n to n+m-1) are the pseudo set.
     """
     source = METHODS[config.method].pseudo_source or config.pseudo_source
     client = build_chat_client(config)
@@ -288,15 +297,13 @@ def build_pseudo_supervision(
                 ood_names, per_class=quotas, object_kind=manifest.object_kind,
                 client=client, cache=cache, model=config.llm.model,
             )
-        provider = build_embedding_provider(config, graph, manifest)
-        vectors = llm.embed_texts(provider, [n.text for n in nodes],
+        texts = [node.text for node in nodes]
+        vectors = llm.embed_texts(build_embedding_provider(config, graph, manifest), texts,
                                   expected_dim=graph.embedding_dim)
-        for node, row in zip(nodes, vectors):
-            node.embedding = row
-        augmented, pseudo = llm.augment_graph(graph, nodes,
-                                              edge_mode=config.edge_mode,
-                                              knn_k=config.knn_k)
-        return pseudo, augmented.graph
+        work = llm.augment_graph(graph, texts, vectors, edge_mode=config.edge_mode,
+                                 knn_k=config.knn_k)
+        pseudo_ids = np.arange(graph.node_count, work.node_count)
+        return llm.PseudoOodSet(mode="generated", node_ids=pseudo_ids), work
 
     raise InputError(f"unknown pseudo source {source!r}")
 

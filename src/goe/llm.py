@@ -89,7 +89,7 @@ class ChatCache:
     """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
 
     The file keeps whole records, but only key → response is held in memory,
-    so ``get`` returns ``{"response": ...}`` or None. The first ``put``
+    so ``get`` returns the response or None. The first ``put``
     creates the directory and opens one ``O_APPEND`` descriptor, which lives
     as long as the cache. Each record is encoded once and written with a
     single ``os.write`` under ``flock(LOCK_EX)``, so writers in several
@@ -104,7 +104,8 @@ class ChatCache:
     if the file still has the size seen at load: otherwise another writer has
     already repaired it and appended, and cutting would destroy its records.
     Any other unreadable line, or one without a string ``key`` and
-    ``response``, raises naming the file and the line.
+    ``response``, raises naming the file and the line; a file that is not
+    UTF-8 text raises naming the file.
     """
 
     def __init__(self, path: Path | str):
@@ -115,7 +116,10 @@ class ChatCache:
         # (size seen at load, size to cut the file to, bytes to write first)
         self._repair: tuple[int, int, bytes] | None = None
         if self.path.exists():
-            self._load()
+            try:
+                self._load()
+            except UnicodeDecodeError:
+                raise InputError(f"{self.path} is not UTF-8 text") from None
 
     def _load(self) -> None:
         line = "\n"
@@ -149,9 +153,8 @@ class ChatCache:
     def __len__(self) -> int:
         return len(self._responses)
 
-    def get(self, key: str) -> dict | None:
-        response = self._responses.get(key)
-        return None if response is None else {"response": response}
+    def get(self, key: str) -> str | None:
+        return self._responses.get(key)
 
     def put(self, record: dict) -> None:
         data = (json.dumps(record) + "\n").encode()
@@ -230,6 +233,10 @@ def _default_mock_reply(prompt: str) -> str:
     return "none"
 
 
+class ReplayMiss(InputError, RuntimeError):
+    """A prompt that the replay file holds no response for."""
+
+
 class ReplayChatClient:
     """Serves responses recorded in a chat cache file; never goes to the network.
 
@@ -245,10 +252,10 @@ class ReplayChatClient:
 
     def complete(self, model: str, messages: list[dict], *,
                  temperature: float = 0.0, max_tokens: int = 512) -> str:
-        hit = self._cache.get(chat_key(model, messages[-1]["content"]))
-        if hit is None:
-            raise RuntimeError("no cached response for prompt in replay mode")
-        return hit["response"]
+        response = self._cache.get(chat_key(model, messages[-1]["content"]))
+        if response is None:
+            raise ReplayMiss(f"{self._cache.path}: no cached response for prompt in replay mode")
+        return response
 
 
 class HttpChatClient:
@@ -390,11 +397,9 @@ def _ask(client, cache: ChatCache | None, model: str, head: str, texts, tag, *,
     misses = []
     for i, text in enumerate(texts):
         key = key_of(text)
-        hit = None if cache is None else cache.get(key)
+        replies[i] = hit = None if cache is None else cache.get(key)
         if hit is None:
             misses.append((i, key, head + text))
-        else:
-            replies[i] = hit["response"]
 
     def record(miss: tuple[int, str, str], response: str) -> None:
         i, key, prompt = miss
@@ -560,12 +565,10 @@ class GeneratedNode:
     category: str
     title: str
     body: str
-    text: str = ""
-    embedding: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if not self.text:
-            self.text = f"{self.title}. {self.body}"
+    @property
+    def text(self) -> str:
+        return f"{self.title}. {self.body}"
 
 
 def build_generation_prompt(category_name: str, count: int,
@@ -701,22 +704,26 @@ def _jsonl_records(path: Path | str, what: str, fields: dict[str, type]):
     """Yield ``(line number, record)`` for each non-blank line of a jsonl file.
 
     A line that is not a JSON object holding each of ``fields`` with its type
-    raises one ``InputError`` naming the file and the 1-based line.
+    raises one ``InputError`` naming the file and the 1-based line; a file
+    that is not UTF-8 text raises one naming the file.
     """
-    with Path(path).open() as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: line {number} is not {what}: "
-                                 f"{exc.msg} at column {exc.pos + 1}") from None
-            for name, kind in fields.items():
-                if not (isinstance(rec, dict) and isinstance(rec.get(name), kind)):
+    try:
+        with Path(path).open() as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
                     raise InputError(f"{path}: line {number} is not {what}: "
-                                     f"no {name!r} of type {kind.__name__}")
-            yield number, rec
+                                     f"{exc.msg} at column {exc.pos + 1}") from None
+                for name, kind in fields.items():
+                    if not (isinstance(rec, dict) and isinstance(rec.get(name), kind)):
+                        raise InputError(f"{path}: line {number} is not {what}: "
+                                         f"no {name!r} of type {kind.__name__}")
+                yield number, rec
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +745,6 @@ class HashEmbeddingProvider:
         if dim <= 0:
             raise ValueError("dim must be positive")
         self._dim = int(dim)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self._dim), dtype=np.float64)
@@ -772,10 +775,6 @@ class PrecomputedEmbeddingProvider:
             raise InputError(f"{path}: embedding file is empty")
         self._dim = int(dim)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self._dim), dtype=np.float64)
         for i, text in enumerate(texts):
@@ -790,18 +789,10 @@ class HttpEmbeddingProvider:
     """OpenAI-compatible /embeddings client with the chat client's retry policy."""
 
     def __init__(self, model: str, base_url: str | None = None,
-                 api_key: str | None = None, dim: int | None = None,
-                 batch_size: int = 64, timeout: float = 60.0):
+                 api_key: str | None = None, batch_size: int = 64, timeout: float = 60.0):
         self.model = model
         self.batch_size = batch_size
-        self._dim = dim
         self._endpoint = HttpChatClient(base_url=base_url, api_key=api_key, timeout=timeout)
-
-    @property
-    def dim(self) -> int:
-        if self._dim is None:
-            raise RuntimeError("embedding dimension unknown until the first request")
-        return self._dim
 
     def embed(self, texts: list[str]) -> np.ndarray:
         rows: list[np.ndarray] = []
@@ -811,20 +802,13 @@ class HttpEmbeddingProvider:
                               {"model": self.model, "input": batch})
             items = sorted(data["data"], key=lambda item: item["index"])
             rows.extend(np.asarray(item["embedding"], dtype=np.float64) for item in items)
-        if not rows:
-            return np.zeros((0, self._dim or 0), dtype=np.float64)
-        out = np.vstack(rows)
-        if self._dim is None:
-            self._dim = out.shape[1]
-        return out
+        return np.vstack(rows)
 
 
 def embed_texts(provider, texts: list[str],
                 expected_dim: int | None = None) -> np.ndarray:
-    """Embed texts and validate shape/finiteness against the graph dimension."""
-    if not texts:
-        dim = expected_dim if expected_dim is not None else provider.dim
-        return np.zeros((0, dim), dtype=np.float64)
+    """Embed texts, one row per text, and validate shape/finiteness against
+    the graph dimension."""
     matrix = provider.embed(list(texts))
     if matrix.shape[0] != len(texts):
         raise ValueError("provider returned wrong number of rows")
@@ -840,19 +824,6 @@ def embed_texts(provider, texts: list[str],
 # ---------------------------------------------------------------------------
 # Graph augmentation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AugmentedGraph:
-    """Original graph plus appended generated nodes.
-
-    The first ``base_node_count`` embedding rows are bitwise identical to the
-    source graph; generated nodes occupy ids [base_node_count, node_count).
-    """
-
-    graph: TextAttributedGraph
-    base_node_count: int
-    generated_ids: np.ndarray
-
 
 def _top_k_lowest_id(scores: np.ndarray, k: int) -> np.ndarray:
     """The k highest scores, ties broken by lower index, in no particular order.
@@ -871,42 +842,38 @@ def _top_k_lowest_id(scores: np.ndarray, k: int) -> np.ndarray:
 
 def augment_graph(
     graph: TextAttributedGraph,
-    generated: list[GeneratedNode],
+    texts: list[str],
+    vectors: np.ndarray,
     edge_mode: str = "none",
     knn_k: int = 5,
-) -> tuple[AugmentedGraph, PseudoOodSet]:
-    """Append generated nodes to the graph.
+) -> TextAttributedGraph:
+    """The graph with one unlabeled node appended per text.
 
-    ``edge_mode="none"`` adds no edges (generated nodes only interact through
-    the self-loop added at normalization); ``"knn"`` connects each generated
-    node to its ``knn_k`` most cosine-similar original nodes, ties broken by
-    lower node id.
+    ``vectors`` holds one embedding row per text, as ``embed_texts`` returns
+    them. The first n = ``graph.node_count`` embedding rows stay bitwise
+    identical, and text i becomes node n + i. ``edge_mode="none"`` adds no
+    edges (generated nodes only interact through the self-loop added at
+    normalization); ``"knn"`` connects each generated node to its ``knn_k``
+    most cosine-similar original nodes, ties broken by lower node id.
     """
-    if not generated:
-        raise ValueError("no generated nodes to insert")
-    for node in generated:
-        if node.embedding is None:
-            raise ValueError("generated node is missing its embedding")
-    n = graph.node_count
-    m = len(generated)
-
-    new_rows = np.asarray([node.embedding for node in generated])
-    embeddings = np.vstack([graph.embeddings,
-                            new_rows.astype(graph.embeddings.dtype)])
-    texts = list(graph.texts) + [node.text for node in generated]
+    n, m = graph.node_count, len(texts)
+    if len(vectors) != m:
+        raise ValueError(f"{len(vectors)} embedding rows for {m} generated texts")
+    vectors = np.asarray(vectors, dtype=np.float64)
+    embeddings = np.vstack([graph.embeddings, vectors.astype(graph.embeddings.dtype)])
     labels = np.concatenate([graph.labels, np.full(m, -1, dtype=np.int64)])
 
     if edge_mode == "none":
         edges = graph.edges.copy()
     elif edge_mode == "knn":
         if not 0 <= knn_k < n:
-            raise ValueError("knn_k must be non-negative and smaller than the original node count")
+            raise InputError(f"knn_k must be at least 0 and below the graph's {n} nodes, "
+                             f"got {knn_k}")
         base = graph.embeddings.astype(np.float64)
         base_norm = np.linalg.norm(base, axis=1)
         base_norm[base_norm == 0] = 1.0
         targets = []
-        for node in generated:
-            v = np.asarray(node.embedding, dtype=np.float64)
+        for v in vectors:
             v_norm = np.linalg.norm(v) or 1.0
             sims = (base @ v) / (base_norm * v_norm)
             targets.append(_top_k_lowest_id(sims, knn_k))
@@ -920,18 +887,11 @@ def augment_graph(
         raise ValueError(f"unknown edge_mode {edge_mode!r}")
 
     combined = TextAttributedGraph(
-        node_count=n + m, edges=edges, texts=texts,
+        node_count=n + m, edges=edges, texts=list(graph.texts) + list(texts),
         embeddings=embeddings, labels=labels,
     )
     combined.validate()
-    generated_ids = np.arange(n, n + m, dtype=np.int64)
-    pseudo = PseudoOodSet(
-        mode="generated",
-        node_ids=generated_ids,
-        provenance=[{"category": g.category, "title": g.title} for g in generated],
-    )
-    return AugmentedGraph(graph=combined, base_node_count=n,
-                          generated_ids=generated_ids), pseudo
+    return combined
 
 
 def save_pseudo_set(pseudo: PseudoOodSet, path: Path | str) -> None:

@@ -179,10 +179,6 @@ class CentroidEmbeddingProvider:
                 self._centroids[name.lower()] = emb[members].mean(axis=0)
         self._typical_norm = float(np.linalg.norm(emb, axis=1).mean())
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self._dim), dtype=np.float64)
         for i, text in enumerate(texts):

@@ -393,6 +393,39 @@ def _train_generator_on_a_numeric_title(data, tmp):
     return ["train", data, "--method", "goe_generator", *_QUICK]
 
 
+def _train_generator_on_an_empty_file(data, tmp):
+    (data / "generated.jsonl").write_text("")
+    return ["train", data, "--method", "goe_generator", *_QUICK]
+
+
+_LATIN1_LINE = '{"category": "Gamma Morphology", "title": "\u00e9", "abstract": "a"}\n'.encode(
+    "latin-1")
+
+
+def _train_generator_on_latin1(name):
+    """A setup that trains goe_generator after writing ``name`` in the dataset copy in latin-1."""
+    def setup(data, tmp):
+        (data / "generated.jsonl").write_text(json.dumps(
+            {"category": "Gamma Morphology", "title": "t", "abstract": "a"}) + "\n")
+        (data / name).write_bytes(_LATIN1_LINE)
+        return ["train", data, "--method", "goe_generator", *_QUICK]
+    return setup
+
+
+def _replay_from(name, content: bytes):
+    """A setup that annotates, replaying from a file ``name`` holding ``content``."""
+    def setup(data, tmp):
+        (tmp / name).write_bytes(content)
+        return ["annotate", data, "--sample", "10", "--replay", tmp / name]
+    return setup
+
+
+def _generator_config(**fields):
+    """A setup that trains goe_generator with a config file holding ``fields``."""
+    return lambda d, t: ["train", d, "--method", "goe_generator", "--config",
+                         _config_file(t, **fields)]
+
+
 def _eval_with_a_listed_file_missing(data, tmp):
     run = _train_run(data, tmp / "run")
     (run / "scores.csv").unlink()
@@ -479,6 +512,36 @@ INPUT_FAULTS = [
     ("eval-without-run-record", lambda d, t: ["eval", t], "config.json"),
     ("export-without-run-record", lambda d, t: ["export-scores", t], "config.json"),
     ("eval-listed-file-missing", _eval_with_a_listed_file_missing, "scores.csv"),
+    ("generated-empty-file", _train_generator_on_an_empty_file,
+     "generated.jsonl holds no generated nodes"),
+    ("config-unknown-edge-mode", _generator_config(edge_mode="bogus"),
+     "edge_mode must be 'none' or 'knn', got 'bogus'"),
+    ("config-negative-knn-k", _generator_config(edge_mode="knn", knn_k=-3),
+     "knn_k must be at least 0, got -3"),
+    ("config-prop-alpha-above-one", _generator_config(prop_alpha=1.5),
+     "prop_alpha must be in [0, 1], got 1.5"),
+    ("config-negative-prop-iterations", _generator_config(prop_iterations=-1),
+     "prop_iterations must be at least 0, got -1"),
+    ("config-knn-k-not-below-node-count", _generator_config(edge_mode="knn", knn_k=300),
+     "knn_k must be at least 0 and below the graph's 300 nodes, got 300"),
+    ("annotate-replay-not-utf8", _replay_from("latin1.jsonl", _LATIN1_LINE),
+     "latin1.jsonl is not UTF-8 text"),
+    ("generated-not-utf8", _train_generator_on_latin1("generated.jsonl"),
+     "generated.jsonl is not UTF-8 text"),
+    ("precomputed-not-utf8",
+     lambda d, t: _train_generator_on_latin1("vectors.jsonl")(d, t) + [
+         "--provider", "precomputed", "--provider-path", d / "vectors.jsonl"],
+     "vectors.jsonl is not UTF-8 text"),
+    ("annotate-replay-miss", _replay_from("empty.jsonl", b""),
+     "empty.jsonl: no cached response for prompt in replay mode"),
+    ("export-zero-bins", lambda d, t: ["export-scores", _train_run(d, t / "run"), "--bins", "0"],
+     "--bins must be at least 1, got 0"),
+    ("annotate-mock-and-remote", lambda d, t: ["annotate", d, "--mock", "--remote"],
+     "give at most one of --mock, --replay and --remote"),
+    ("train-replay-and-remote",
+     lambda d, t: ["train", d, "--method", "goe_identifier", "--remote",
+                   "--replay", d / "nodes.jsonl"],
+     "give at most one of --mock, --replay and --remote"),
 ]
 
 

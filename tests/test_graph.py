@@ -27,7 +27,7 @@ from goe.graph import (
     save_dataset,
     save_split,
 )
-from goe.llm import GeneratedNode, augment_graph
+from goe.llm import augment_graph
 
 
 def _write_dataset(directory, texts, labels, edges, embeddings, dim=None):
@@ -425,12 +425,9 @@ class TestNormalizeAdjacency:
     def test_exactly_symmetric_on_planted_and_knn_augmented(self, planted):
         # gcn.backward uses A_hat in place of A_hat.T
         graph, _ = planted
-        rng = np.random.default_rng(0)
-        nodes = [GeneratedNode("G", f"t{i}", "b") for i in range(20)]
-        for node in nodes:
-            node.embedding = rng.normal(size=graph.embedding_dim)
-        augmented, _ = augment_graph(graph, nodes, edge_mode="knn")
-        for g in (graph, augmented.graph):
+        rows = np.random.default_rng(0).normal(size=(20, graph.embedding_dim))
+        augmented = augment_graph(graph, [f"t{i}. b" for i in range(20)], rows, edge_mode="knn")
+        for g in (graph, augmented):
             a = normalize_adjacency(g)
             assert (a - a.T).nnz == 0
 

@@ -16,7 +16,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goe.graph import TextAttributedGraph, make_class_split, sample_data_split
+from goe.graph import InputError, TextAttributedGraph, make_class_split, sample_data_split
 from goe.llm import (
     DEFAULT_MODEL,
     ChatCache,
@@ -241,7 +241,7 @@ class TestChatCache:
         cache.put(record)  # duplicate keys are ignored
         reloaded = ChatCache(path)
         assert len(reloaded) == 1
-        assert reloaded.get(record["key"])["response"] == "r"
+        assert reloaded.get(record["key"]) == "r"
 
     @staticmethod
     def _record(prompt):
@@ -263,7 +263,7 @@ class TestChatCache:
         assert path.read_text() == "".join(lines)
         reloaded = ChatCache(path)
         assert len(reloaded) == 3
-        assert reloaded.get(chat_key("m", "c"))["response"] == "reply to c"
+        assert reloaded.get(chat_key("m", "c")) == "reply to c"
 
     def test_unterminated_complete_last_line_is_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -391,9 +391,9 @@ class TestChatCache:
         record = self._record("long prompt " * 100)
         cache = ChatCache(path)
         cache.put(record)
-        assert cache.get(record["key"])["response"] == record["response"]
+        assert cache.get(record["key"]) == record["response"]
         assert json.loads(path.read_text()) == record
-        assert ChatCache(path).get(record["key"])["response"] == record["response"]
+        assert ChatCache(path).get(record["key"]) == record["response"]
 
     @pytest.mark.parametrize("line, field", [
         ('{"response": "r"}', "key"),
@@ -796,40 +796,33 @@ class TestEmbeddingProviders:
         with path.open("w") as fh:
             fh.write(json.dumps({"key": text_key("hello"), "vector": [1.0, 2.0]}) + "\n")
         provider = PrecomputedEmbeddingProvider(path)
-        assert provider.dim == 2
         np.testing.assert_array_equal(provider.embed(["hello"]), [[1.0, 2.0]])
         with pytest.raises(KeyError):
             provider.embed(["unknown"])
 
 
 class TestAugmentGraph:
-    def _generated(self, graph, rows):
-        nodes = []
-        for i, row in enumerate(rows):
-            node = GeneratedNode("G", f"t{i}", f"b{i}")
-            node.embedding = np.asarray(row, dtype=np.float64)
-            nodes.append(node)
-        return nodes
+    @staticmethod
+    def _texts(rows):
+        return [f"t{i}. b{i}" for i in range(len(rows))]
 
     def test_none_mode_preserves_structure(self, planted):
         graph, _ = planted
-        rng = np.random.default_rng(0)
-        nodes = self._generated(graph, rng.normal(size=(10, graph.embedding_dim)))
-        augmented, pseudo = augment_graph(graph, nodes, edge_mode="none")
-        assert augmented.graph.node_count == graph.node_count + 10
-        assert np.array_equal(augmented.graph.edges, graph.edges)
-        assert np.array_equal(
-            augmented.graph.embeddings[:graph.node_count], graph.embeddings)
-        assert pseudo.mode == "generated"
-        assert pseudo.node_ids.tolist() == list(
-            range(graph.node_count, graph.node_count + 10))
-        assert np.all(augmented.graph.labels[pseudo.node_ids] == -1)
+        rows = np.random.default_rng(0).normal(size=(10, graph.embedding_dim))
+        augmented = augment_graph(graph, self._texts(rows), rows, edge_mode="none")
+        n = graph.node_count
+        assert augmented.node_count == n + 10
+        assert np.array_equal(augmented.edges, graph.edges)
+        assert np.array_equal(augmented.embeddings[:n], graph.embeddings)
+        assert np.array_equal(augmented.embeddings[n:], rows.astype(graph.embeddings.dtype))
+        assert augmented.texts[n:] == self._texts(rows)
+        assert np.all(augmented.labels[n:] == -1)
 
     def test_knn_connects_identical_row_to_its_source(self, planted):
         graph, _ = planted
-        nodes = self._generated(graph, [graph.embeddings[7].astype(np.float64)])
-        augmented, _ = augment_graph(graph, nodes, edge_mode="knn", knn_k=1)
-        added = set(map(tuple, augmented.graph.edges.tolist())) \
+        rows = graph.embeddings[7:8].astype(np.float64)
+        augmented = augment_graph(graph, self._texts(rows), rows, edge_mode="knn", knn_k=1)
+        added = set(map(tuple, augmented.edges.tolist())) \
             - set(map(tuple, graph.edges.tolist()))
         assert added == {(7, graph.node_count)}
 
@@ -847,8 +840,7 @@ class TestAugmentGraph:
             labels=np.zeros(n, dtype=np.int64))
         rows = np.vstack([palette.astype(np.float64), rng.normal(size=(3, dim)),
                           np.zeros((1, dim))])
-        augmented, _ = augment_graph(graph, self._generated(graph, rows),
-                                     edge_mode="knn", knn_k=k)
+        augmented = augment_graph(graph, self._texts(rows), rows, edge_mode="knn", knn_k=k)
 
         base = embeddings.astype(np.float64)
         base_norm = np.linalg.norm(base, axis=1)
@@ -857,18 +849,21 @@ class TestAugmentGraph:
             sims = (base @ v) / (base_norm * (np.linalg.norm(v) or 1.0))
             extra += [(int(t), n + offset) for t in np.argsort(-sims, kind="stable")[:k]]
         reference = np.unique(np.vstack([graph.edges, np.array(extra)]), axis=0)
-        assert np.array_equal(augmented.graph.edges, reference)
+        assert np.array_equal(augmented.edges, reference)
 
     def test_knn_k_too_large_rejected(self, planted):
         graph, _ = planted
-        nodes = self._generated(graph, [np.zeros(graph.embedding_dim)])
-        with pytest.raises(ValueError):
-            augment_graph(graph, nodes, edge_mode="knn", knn_k=graph.node_count)
+        rows = np.zeros((1, graph.embedding_dim))
+        with pytest.raises(InputError, match="knn_k must be at least 0 and below"):
+            augment_graph(graph, self._texts(rows), rows, edge_mode="knn",
+                          knn_k=graph.node_count)
 
-    def test_missing_embedding_rejected(self, planted):
+    def test_rows_and_texts_of_different_lengths_rejected(self, planted):
         graph, _ = planted
-        with pytest.raises(ValueError, match="missing its embedding"):
-            augment_graph(graph, [GeneratedNode("G", "t", "b")])
+        for row_count in (0, 1, 3):
+            rows = np.zeros((row_count, graph.embedding_dim))
+            with pytest.raises(ValueError, match=f"^{row_count} embedding rows for 2 generated"):
+                augment_graph(graph, ["t0. b0", "t1. b1"], rows)
 
 
 @settings(max_examples=200, deadline=None)
