@@ -32,7 +32,7 @@ from .llm import (
     generate_pseudo_ood,
     identify_pseudo_ood,
 )
-from .objectives import ObjectiveSpec, energy
+from .objectives import energy
 from .synthetic import make_planted_tag
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "InputError",
     "LlmSettings",
     "MockChatClient",
-    "ObjectiveSpec",
     "PseudoOodSet",
     "ReplayChatClient",
     "TextAttributedGraph",

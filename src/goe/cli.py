@@ -302,8 +302,9 @@ def train(directory: str, method: str, seed: int | None, **flags):
     seed = split.seed if seed is None else seed
     out = flags["out"] or str(directory / "runs" / method)
     config = _run_config(directory, inputs, method, [seed], out, flags)
-    outcome = harness.run_seed(graph, manifest, class_split, config, seed, split=split)
     out_dir = Path(out)
+    harness.clear_run_record(out_dir)
+    outcome = harness.run_seed(graph, manifest, class_split, config, seed, split=split)
     harness.write_scores_csv(outcome.test_rows, out_dir / "scores.csv")   # makes out_dir
     gcn.save_params(outcome.params, out_dir / "params.bin")
     harness.write_run(out_dir, config, [outcome.record], ["scores.csv", "params.bin"])
@@ -316,9 +317,20 @@ def train(directory: str, method: str, seed: int | None, **flags):
 
 def _score_files(run_dir: Path) -> list[Path]:
     """The score files that the run record config.json lists, not the stale ones
-    an earlier run into the directory left. A missing file fails in one line."""
-    artifacts = json.loads((run_dir / "config.json").read_text())["artifacts"]
-    return [run_dir / name for name in artifacts if Path(name).name == "scores.csv"]
+    an earlier run into the directory left. A missing or malformed record, or a
+    missing file, fails in one line."""
+    path = run_dir / "config.json"
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"{path} is not JSON: {exc}") from None
+    names = record.get("artifacts") if isinstance(record, dict) else None
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise InputError(f"{path} is not a run record: it has no list of artifacts")
+    files = [run_dir / name for name in names if Path(name).name == "scores.csv"]
+    if not files:
+        raise InputError(f"{path} lists no scores.csv")
+    return files
 
 
 @main.command("eval")

@@ -12,10 +12,12 @@ Each layer runs its sparse product on the narrower side of its weight:
 else ``(A_hat @ x) @ w``. The choice depends only on the shapes, so layer 2
 (h > k) always projects first and layer 1 projects first when d > h.
 
-An exposure-weight grid trains as one stack of G models: ``W1`` is
-``(d, G*h)`` and ``W2`` is block-diagonal ``(G*h, G*k)``. ``forward(...,
-blocks=G)`` tiles one block's hidden dropout mask and multiplies in one
-block's order, so the blocks share each epoch's masks. Each stops early alone.
+``train_classifier`` takes one objective and a grid of G exposure weights,
+and trains them as one stack of G models: ``W1`` is ``(d, G*h)`` and ``W2``
+is block-diagonal ``(G*h, G*k)``. ``forward(..., blocks=G)`` tiles one
+block's hidden dropout mask and multiplies in one block's order, so the
+blocks share each epoch's masks. Each stops early alone, and each weight gets
+its own ``TrainResult``.
 
 The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
 symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
@@ -42,14 +44,15 @@ import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import metrics, scoring
 from .graph import InputError
-from .objectives import ObjectiveSpec, binary_head_loss, objective_loss
+from .objectives import (DEFAULT_MARGIN_ID, DEFAULT_MARGIN_OOD, EXPOSURE, KPLUS1, SUPERVISED,
+                         binary_head_loss, objective_loss)
 
 _TENSOR_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -381,8 +384,8 @@ class TrainConfig:
     # Read by nothing: runs take their weights from ExperimentConfig.exposure_weights.
     # It stays because config_hash covers it, so removing it would move every hash.
     exposure_weight: float = 0.05
-    margin_id: float = -5.0
-    margin_ood: float = -1.0
+    margin_id: float = DEFAULT_MARGIN_ID
+    margin_ood: float = DEFAULT_MARGIN_OOD
     max_epochs: int = 200
     patience: int = 20
     seed: int = 0
@@ -455,58 +458,57 @@ def train_classifier(
     labels: np.ndarray,
     split,
     config: TrainConfig,
-    spec: ObjectiveSpec | list[ObjectiveSpec],
+    objective: str,
     *,
     output_dim: int,
     id_class_count: int,
+    pseudo_ood_ids: np.ndarray | None = None,
+    exposure_weights: Sequence[float] = (0.0,),
+    val_scorer: str = "energy",
     row_stochastic: sp.spmatrix | None = None,
     prop_alpha: float = 0.5,
     prop_iterations: int = 2,
-) -> TrainResult | list[TrainResult]:
-    """Full-batch training with early stopping on val accuracy + val AUROC.
+) -> list[TrainResult]:
+    """Full-batch training of ``objective`` (an ``objectives`` kind, with the
+    margins of ``config``), one model per exposure weight, with early stopping
+    on val accuracy + val AUROC under ``val_scorer`` (a ``scoring.score_nodes``
+    tag). Returns one result per weight, in order.
 
     Every epoch trains on the receptive field of the nodes the loss reads
     (train and pseudo-OOD) and validates on the field of ``val_id`` and
     ``val_ood``, grown by ``prop_iterations`` hops when the val scorer is
     ``energy_prop``. Both give the full-graph loss, gradients and scores.
     ``row_stochastic`` must share ``adjacency``'s sparsity pattern, as the
-    two operators in ``graph`` do. Keeps the parameters of the best epoch
-    (ties resolved to the earliest) and stops after ``config.patience``
+    two operators in ``graph`` do. Each model keeps the parameters of its best
+    epoch (ties resolved to the earliest) and stops after ``config.patience``
     consecutive non-improving epochs.
 
-    A list of specs that differ only in ``exposure_weight`` trains as one
-    stacked model and returns one result per spec. The models start from the
-    same parameters and share each epoch's dropout masks, and ``W2``'s
-    off-diagonal blocks get no gradient, so each block is exactly the model
-    its spec would train alone. Each block stops early on its own and then
-    leaves the stack; the loop ends when the last one stops.
+    The weights train as one stacked model. The models start from the same
+    parameters and share each epoch's dropout masks, and ``W2``'s off-diagonal
+    blocks get no gradient, so each block is exactly the model its weight
+    would train alone. Each block stops early on its own and then leaves the
+    stack; the loop ends when the last one stops.
     """
     config.validate()
-    specs = [spec] if isinstance(spec, ObjectiveSpec) else list(spec)
-    for s in specs:
-        s.validate()
-
-    def rest(s: ObjectiveSpec) -> ObjectiveSpec:   # all but the weight, comparable
-        ids = tuple(np.ravel(s.pseudo_ood_ids).tolist())
-        return dataclasses.replace(s, exposure_weight=0.0, pseudo_ood_ids=ids)
-
-    if not specs or any(rest(s) != rest(specs[0]) for s in specs[1:]):
-        raise ValueError("stacked specs must be non-empty and differ only in exposure_weight")
-    first = specs[0]
+    if objective not in (SUPERVISED, EXPOSURE, KPLUS1):
+        raise ValueError(f"unknown objective kind {objective!r}")
+    if objective != SUPERVISED and (pseudo_ood_ids is None or len(pseudo_ood_ids) == 0):
+        raise ValueError("exposure requested but no pseudo-OOD available")
+    if len(exposure_weights) == 0 or min(exposure_weights) < 0:
+        raise ValueError(f"exposure_weights must be non-empty and non-negative, "
+                         f"got {list(exposure_weights)}")
     train_ids = np.asarray(split.train_id)
     if train_ids.size == 0:
         raise ValueError("empty training set")
     labels = np.asarray(labels)
 
-    pseudo = first.pseudo_ood_ids
-    train_field = receptive_field(
-        adjacency, train_ids if pseudo is None else np.concatenate([train_ids, pseudo]))
+    train_field = receptive_field(adjacency, train_ids if pseudo_ood_ids is None
+                                  else np.concatenate([train_ids, pseudo_ood_ids]))
     train_labels = labels[train_field.rows[0]]
     local_train = train_field.local(train_ids)
-    if pseudo is not None:
-        specs = [dataclasses.replace(s, pseudo_ood_ids=train_field.local(pseudo)) for s in specs]
+    local_pseudo = None if pseudo_ood_ids is None else train_field.local(pseudo_ood_ids)
 
-    propagated = first.val_scorer == "energy_prop"
+    propagated = val_scorer == "energy_prop"
     val_field = receptive_field(adjacency, np.concatenate([split.val_id, split.val_ood]),
                                 prop_iterations if propagated else 0)
     val_rows = val_field.rows[0]
@@ -517,14 +519,14 @@ def train_classifier(
 
     hidden, out = config.hidden_dim, output_dim
     single = init_params(features.shape[1], hidden, out, config.seed)
-    count = len(specs)
+    count = len(exposure_weights)
     params = GcnParams(w1=np.tile(single.w1, count), b1=np.tile(single.b1, count),
                        w2=np.kron(np.eye(count), single.w2), b2=np.tile(single.b2, count))
     state = init_adam(params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_STREAM_DROPOUT,)))
 
-    results = [TrainResult(single.copy()) for _ in specs]
-    active = list(range(count))  # the spec of each block in the stack
+    results = [TrainResult(single.copy()) for _ in range(count)]
+    active = list(range(count))  # the weight of each block in the stack
 
     for epoch in range(1, config.max_epochs + 1):
         trace = forward(params, train_field, features, training=True,
@@ -533,11 +535,12 @@ def train_classifier(
         losses = []
         for pos, i in enumerate(active):
             cols = slice(pos * out, (pos + 1) * out)
-            loss, grad_logits[:, cols] = objective_loss(trace.logits[:, cols], train_labels,
-                                                        local_train, specs[i])
+            loss, grad_logits[:, cols] = objective_loss(
+                trace.logits[:, cols], train_labels, local_train, objective, local_pseudo,
+                exposure_weights[i], config.margin_id, config.margin_ood)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} "
-                                         f"(objective {first.kind})")
+                                         f"(objective {objective})")
             losses.append(loss)
         grads = backward(params, trace, grad_logits, weight_decay=config.weight_decay)
         del trace
@@ -547,7 +550,7 @@ def train_classifier(
         logits = forward(params, val_field, features, blocks=len(active)).logits
         for pos, i in enumerate(active):
             block = logits[:, pos * out:(pos + 1) * out]
-            scores = scoring.score_nodes(block, first.val_scorer, row_stochastic=val_prop,
+            scores = scoring.score_nodes(block, val_scorer, row_stochastic=val_prop,
                                          alpha=prop_alpha, iterations=prop_iterations)
             val_acc = metrics.id_accuracy(block, val_labels, val_id, id_class_count=id_class_count)
             val_auroc = metrics.auroc(scores[val_id], scores[val_ood])
@@ -565,7 +568,7 @@ def train_classifier(
             state.m, state.v = (_take_blocks(t, going, hidden, out) for t in (state.m, state.v))
             active = [active[pos] for pos in going]
 
-    return results[0] if isinstance(spec, ObjectiveSpec) else results
+    return results
 
 
 def train_binary_head(

@@ -242,15 +242,18 @@ def _read_nodes(path: Path) -> tuple[list[int], list[str], list[int]]:
     texts: list[str] = []
     labels: list[int] = []
     first = 1   # line number of the block's first line
-    with path.open() as fh:
-        while lines := fh.readlines(_NODE_BLOCK_BYTES):
-            block = _parse_node_block(lines)
-            if block is None:
-                block = _parse_node_lines(lines, first, path.name)
-            ids += block[0]
-            texts += block[1]
-            labels += block[2]
-            first += len(lines)
+    try:
+        with path.open() as fh:
+            while lines := fh.readlines(_NODE_BLOCK_BYTES):
+                block = _parse_node_block(lines)
+                if block is None:
+                    block = _parse_node_lines(lines, first, path.name)
+                ids += block[0]
+                texts += block[1]
+                labels += block[2]
+                first += len(lines)
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
     return ids, texts, labels
 
 

@@ -35,7 +35,7 @@ from .graph import (
     sample_data_split,
     stream_rng,
 )
-from .objectives import EXPOSURE, KPLUS1, SUPERVISED, ObjectiveSpec
+from .objectives import EXPOSURE, KPLUS1, SUPERVISED
 from .synthetic import CentroidEmbeddingProvider
 
 
@@ -378,17 +378,14 @@ def run_seed(
     k = class_split.num_id_classes
     train_cfg = dataclasses.replace(config.train, seed=seed)
 
-    # one spec per exposure weight, trained as one stacked model; other
-    # objectives train one spec and record no weight
+    # the exposure weights train as one stacked model; other objectives
+    # train one model and record no weight
     weights = config.exposure_weights if method.objective == EXPOSURE else [None]
-    specs = [ObjectiveSpec(kind=method.objective, exposure_weight=weight or 0.0,
-                           margin_id=train_cfg.margin_id, margin_ood=train_cfg.margin_ood,
-                           pseudo_ood_ids=None if method.objective == SUPERVISED else train_pseudo,
-                           val_scorer=method.scorer)
-             for weight in weights]
     trained = gcn.train_classifier(
-        features, adjacency, labels, val_split, train_cfg, specs,
+        features, adjacency, labels, val_split, train_cfg, method.objective,
         output_dim=k + 1 if method.objective == KPLUS1 else k, id_class_count=k,
+        pseudo_ood_ids=None if method.objective == SUPERVISED else train_pseudo,
+        exposure_weights=[weight or 0.0 for weight in weights], val_scorer=method.scorer,
         row_stochastic=row_stochastic,
         prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
     )
@@ -469,7 +466,7 @@ def read_scores_csv(path: Path | str) -> list[dict]:
                 "score": float(rec["score"]),
             })
     if not rows:
-        raise ValueError("empty scores file")
+        raise InputError(f"{path} holds no scores")
     return rows
 
 
@@ -486,6 +483,7 @@ def run_experiment(config: ExperimentConfig,
     graph, manifest = load_dataset(config.dataset_dir)
     class_split = make_class_split(graph.labels, config.id_classes)
 
+    clear_run_record(out_dir)
     per_seed: list[dict] = []
     try:
         for seed in config.seeds:
@@ -501,6 +499,14 @@ def run_experiment(config: ExperimentConfig,
 
     return write_run(out_dir, config, per_seed,
                      [f"seed-{seed}/scores.csv" for seed in config.seeds])
+
+
+def clear_run_record(out_dir: Path) -> None:
+    """Delete an earlier run's config.json, report.json and report.partial.json
+    from ``out_dir``, so a run that fails leaves no record of another run. The
+    files a record lists stay: no path read from a run record is deleted."""
+    for name in ("config.json", "report.json", "report.partial.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
 
 def write_run(out_dir: Path, config: ExperimentConfig, per_seed: list[dict],

@@ -9,8 +9,6 @@ energies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SUPERVISED = "supervised"
@@ -168,41 +166,16 @@ def binary_head_loss(head_logits: np.ndarray, id_ids: np.ndarray,
     return loss, grad
 
 
-@dataclass
-class ObjectiveSpec:
-    """Which loss drives training, plus the pieces it needs.
-
-    ``val_scorer`` names the post-hoc scorer used for validation AUROC during
-    early stopping (one of the tags understood by ``scoring.score_nodes``).
-    """
-
-    kind: str = SUPERVISED
-    exposure_weight: float = 0.05
-    margin_id: float = DEFAULT_MARGIN_ID
-    margin_ood: float = DEFAULT_MARGIN_OOD
-    pseudo_ood_ids: np.ndarray | None = None
-    val_scorer: str = "energy"
-
-    def validate(self) -> None:
-        if self.kind not in (SUPERVISED, EXPOSURE, KPLUS1):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind in (EXPOSURE, KPLUS1):
-            if self.pseudo_ood_ids is None or len(self.pseudo_ood_ids) == 0:
-                raise ValueError("exposure requested but no pseudo-OOD available")
-        if self.exposure_weight < 0:
-            raise ValueError("exposure_weight must be non-negative")
-
-
 def objective_loss(logits: np.ndarray, labels: np.ndarray, train_ids: np.ndarray,
-                   spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
-    """Dispatch to the loss named by ``spec.kind``."""
-    if spec.kind == SUPERVISED:
+                   kind: str, pseudo_ood_ids: np.ndarray | None, exposure_weight: float,
+                   margin_id: float, margin_ood: float) -> tuple[float, np.ndarray]:
+    """Dispatch to the loss named by ``kind``; only ``EXPOSURE`` reads the
+    weight and the margins, and ``SUPERVISED`` reads no pseudo-OOD ids."""
+    if kind == SUPERVISED:
         return supervised_loss(logits, labels, train_ids)
-    if spec.kind == EXPOSURE:
-        return combined_loss(
-            logits, labels, train_ids, spec.pseudo_ood_ids,
-            spec.exposure_weight, spec.margin_id, spec.margin_ood,
-        )
-    if spec.kind == KPLUS1:
-        return kplus1_loss(logits, labels, train_ids, spec.pseudo_ood_ids)
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    if kind == EXPOSURE:
+        return combined_loss(logits, labels, train_ids, pseudo_ood_ids, exposure_weight,
+                             margin_id, margin_ood)
+    if kind == KPLUS1:
+        return kplus1_loss(logits, labels, train_ids, pseudo_ood_ids)
+    raise ValueError(f"unknown objective kind {kind!r}")

@@ -432,6 +432,22 @@ def _eval_with_a_listed_file_missing(data, tmp):
     return ["eval", run]
 
 
+def _nodes_not_utf8(data, tmp):
+    raw = bytearray((data / "nodes.jsonl").read_bytes())
+    raw[raw.index(b'"text"') + 10] = 0xE9
+    (data / "nodes.jsonl").write_bytes(bytes(raw))
+    return ["prepare", data, "--id-classes", "0,1"]
+
+
+def _run_with_edited(command, name, content: str):
+    """A setup that trains a run, overwrites its file ``name`` and runs ``command`` on it."""
+    def setup(data, tmp):
+        run = _train_run(data, tmp / "run")
+        (run / name).write_text(content)
+        return [command, run]
+    return setup
+
+
 # (case id, setup(data, tmp) -> argv, a fragment of the one error line)
 INPUT_FAULTS = [
     ("prepare-unknown-class", lambda d, t: ["prepare", d, "--id-classes", "0,9"],
@@ -542,6 +558,17 @@ INPUT_FAULTS = [
      lambda d, t: ["train", d, "--method", "goe_identifier", "--remote",
                    "--replay", d / "nodes.jsonl"],
      "give at most one of --mock, --replay and --remote"),
+    ("dataset-nodes-not-utf8", _nodes_not_utf8, "nodes.jsonl is not UTF-8 text"),
+    ("eval-run-record-not-json", _run_with_edited("eval", "config.json", "{not json"),
+     "config.json is not JSON"),
+    ("export-run-record-without-artifacts",
+     _run_with_edited("export-scores", "config.json", '{"config": {}}'),
+     "config.json is not a run record: it has no list of artifacts"),
+    ("export-run-record-lists-no-scores",
+     _run_with_edited("export-scores", "config.json", '{"artifacts": ["report.json"]}'),
+     "config.json lists no scores.csv"),
+    ("eval-empty-scores-file", _run_with_edited("eval", "scores.csv", ""),
+     "scores.csv holds no scores"),
 ]
 
 
@@ -606,6 +633,38 @@ def test_eval_reads_only_the_seeds_of_the_last_run(small_workspace, tmp_path):
     result = runner.invoke(main, ["export-scores", str(out / "energy")])
     assert result.exit_code == 0, result.output
     assert "seed-5" in result.output
+
+
+def test_a_failed_rerun_leaves_no_run_record(small_workspace, tmp_path):
+    """A train that fails into an earlier run's directory leaves eval nothing to report."""
+    data = tmp_path / "data"
+    shutil.copytree(small_workspace / "data", data)
+    run = _train_run(data, tmp_path / "r")
+    (data / "generated.jsonl").write_text("{not json\n")
+    result = CliRunner().invoke(main, ["train", str(data), "--method", "goe_generator",
+                                       "--out", str(run), *_QUICK])
+    assert result.exit_code == 1 and "generated.jsonl" in result.output
+    result = CliRunner().invoke(main, ["eval", str(run)])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert (run / "scores.csv").exists()   # listed artifacts are never deleted
+
+
+def test_a_failed_experiment_clears_the_earlier_record(small_workspace, tmp_path, monkeypatch):
+    from goe import harness
+
+    out = tmp_path / "rr"
+    argv = ["compare", str(small_workspace / "data"), "--methods", "energy", "--seeds", "0",
+            "--out", str(out), *_QUICK]
+    assert CliRunner().invoke(main, argv).exit_code == 0
+    assert (out / "energy" / "report.json").exists()
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug inside the run")
+
+    monkeypatch.setattr(harness, "run_seed", broken)
+    assert isinstance(CliRunner().invoke(main, argv).exception, ValueError)
+    assert sorted(path.name for path in (out / "energy").iterdir()) == ["seed-0"]
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

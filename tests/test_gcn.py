@@ -34,9 +34,10 @@ from goe.graph import (
     sample_data_split,
 )
 from goe.objectives import (
+    DEFAULT_MARGIN_ID,
+    DEFAULT_MARGIN_OOD,
     EXPOSURE,
     SUPERVISED,
-    ObjectiveSpec,
     objective_loss,
     supervised_loss,
 )
@@ -440,18 +441,16 @@ class TestTrainLoop:
         graph = _separable_toy()
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, patience=0, max_epochs=50, seed=0)
-        result = train_classifier(X, A, labels, split, cfg,
-                                  ObjectiveSpec(kind=SUPERVISED),
-                                  output_dim=2, id_class_count=2)
+        [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
+                                    output_dim=2, id_class_count=2)
         assert len(result.history) == 1
 
     def test_runs_to_max_epochs_when_patience_allows(self):
         graph = _separable_toy()
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, patience=10, max_epochs=10, seed=0)
-        result = train_classifier(X, A, labels, split, cfg,
-                                  ObjectiveSpec(kind=SUPERVISED),
-                                  output_dim=2, id_class_count=2)
+        [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
+                                    output_dim=2, id_class_count=2)
         assert len(result.history) == 10
 
     def test_separable_toy_reaches_perfect_train_accuracy(self):
@@ -463,9 +462,8 @@ class TestTrainLoop:
 
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=8, seed=0, max_epochs=100)
-        result = train_classifier(X, A, labels, split, cfg,
-                                  ObjectiveSpec(kind=SUPERVISED),
-                                  output_dim=2, id_class_count=2)
+        [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
+                                    output_dim=2, id_class_count=2)
         from goe.metrics import id_accuracy
         logits = forward(result.params, A, X).logits
         assert id_accuracy(logits, labels, split.train_id) == 1.0
@@ -476,11 +474,10 @@ class TestTrainLoop:
         cfg = TrainConfig(hidden_dim=4, max_epochs=20, seed=5)
 
         def run():
-            return train_classifier(X, A, labels, split, cfg,
-                                    ObjectiveSpec(kind=SUPERVISED),
+            return train_classifier(X, A, labels, split, cfg, SUPERVISED,
                                     output_dim=2, id_class_count=2)
 
-        a, b = run(), run()
+        [a], [b] = run(), run()
         for name in a.params.tensors():
             assert np.array_equal(a.params.tensors()[name], b.params.tensors()[name])
         assert a.history == b.history
@@ -489,9 +486,8 @@ class TestTrainLoop:
         graph = _separable_toy()
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, max_epochs=30, seed=1)
-        spec = ObjectiveSpec(kind=SUPERVISED, val_scorer="energy")
-        result = train_classifier(X, A, labels, split, cfg, spec,
-                                  output_dim=2, id_class_count=2)
+        [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
+                                    output_dim=2, id_class_count=2, val_scorer="energy")
         from goe import metrics, scoring
         logits = forward(result.params, A, X).logits
         val_acc = metrics.id_accuracy(logits, labels, split.val_id, id_class_count=2)
@@ -507,10 +503,9 @@ class TestTrainLoop:
         pseudo = np.flatnonzero(graph.labels == 2)[:15]
         pseudo = np.setdiff1d(pseudo, split.evaluation_nodes())
         cfg = TrainConfig(hidden_dim=8, max_epochs=40, seed=0)
-        spec = ObjectiveSpec(kind=EXPOSURE, exposure_weight=0.05,
-                             pseudo_ood_ids=pseudo)
-        result = train_classifier(X, A, labels, split, cfg, spec,
-                                  output_dim=2, id_class_count=2)
+        [result] = train_classifier(X, A, labels, split, cfg, EXPOSURE,
+                                    output_dim=2, id_class_count=2,
+                                    pseudo_ood_ids=pseudo, exposure_weights=[0.05])
         assert np.isfinite(result.best_val_score)
 
     def test_empty_training_set_rejected(self):
@@ -519,12 +514,11 @@ class TestTrainLoop:
         split.train_id = np.array([], dtype=np.int64)
         cfg = TrainConfig(hidden_dim=4, seed=0)
         with pytest.raises(ValueError, match="empty training set"):
-            train_classifier(X, A, labels, split, cfg,
-                             ObjectiveSpec(kind=SUPERVISED),
+            train_classifier(X, A, labels, split, cfg, SUPERVISED,
                              output_dim=2, id_class_count=2)
 
 
-def _full_graph_history(X, A, labels, split, cfg, spec, P):
+def _full_graph_history(X, A, labels, split, cfg, kind, pseudo, val_scorer, P):
     """The training loop on the whole graph every epoch: the reference that
     field training must reproduce."""
     params = init_params(X.shape[1], cfg.hidden_dim, 2, cfg.seed)
@@ -534,11 +528,12 @@ def _full_graph_history(X, A, labels, split, cfg, spec, P):
     history = []
     for _ in range(cfg.max_epochs):
         trace = forward(params, A, X, training=True, dropout=cfg.dropout, rng=rng)
-        loss, grad_logits = objective_loss(trace.logits, labels, split.train_id, spec)
+        loss, grad_logits = objective_loss(trace.logits, labels, split.train_id, kind, pseudo,
+                                           0.05, cfg.margin_id, cfg.margin_ood)
         adam_step(state, params, backward(params, trace, grad_logits, cfg.weight_decay),
                   cfg.learning_rate)
         logits = forward(params, A, X).logits
-        scores = scoring.score_nodes(logits, spec.val_scorer, row_stochastic=P)
+        scores = scoring.score_nodes(logits, val_scorer, row_stochastic=P)
         history.append({
             "loss": loss,
             "val_acc": metrics.id_accuracy(logits, labels, split.val_id, id_class_count=2),
@@ -560,12 +555,12 @@ def test_field_training_history_matches_full_graph_loop(planted, kind, val_score
     if kind == EXPOSURE:
         pseudo = np.setdiff1d(np.flatnonzero(graph.labels == 2),
                               split.evaluation_nodes())[:30]
-    spec = ObjectiveSpec(kind=kind, pseudo_ood_ids=pseudo, val_scorer=val_scorer)
     cfg = TrainConfig(hidden_dim=16, max_epochs=5, patience=5, seed=3)
 
-    result = train_classifier(X, A, labels, split, cfg, spec, output_dim=2,
-                              id_class_count=2, row_stochastic=P)
-    reference = _full_graph_history(X, A, labels, split, cfg, spec, P)
+    [result] = train_classifier(X, A, labels, split, cfg, kind, output_dim=2, id_class_count=2,
+                                pseudo_ood_ids=pseudo, exposure_weights=[0.05],
+                                val_scorer=val_scorer, row_stochastic=P)
+    reference = _full_graph_history(X, A, labels, split, cfg, kind, pseudo, val_scorer, P)
     assert len(result.history) == len(reference) == 5
     for got, want in zip(result.history, reference):
         assert got["val_acc"] == want["val_acc"]
@@ -631,23 +626,23 @@ class TestStackedGrid:
     def test_stacked_gradients_match_finite_differences(self, d, h):
         _, X, A, labels = build_random_graph(seed=3, n=10, dim=d)
         train_ids, pseudo = np.arange(6), np.array([7, 8, 9])
-        specs = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=w, pseudo_ood_ids=pseudo)
-                 for w in self.WEIGHTS]
+        blocks = len(self.WEIGHTS)
 
         def objective(params):
             # a fresh rng per call freezes the training-mode masks across the probes
             trace = forward(params, A, X, training=True, dropout=0.5,
-                            rng=np.random.default_rng(7), blocks=len(specs))
+                            rng=np.random.default_rng(7), blocks=blocks)
             grad_logits = np.empty_like(trace.logits)
             total = 0.0
-            for g, spec in enumerate(specs):
+            for g, weight in enumerate(self.WEIGHTS):
                 cols = slice(2 * g, 2 * g + 2)
-                loss, grad_logits[:, cols] = objective_loss(trace.logits[:, cols], labels,
-                                                            train_ids, spec)
+                loss, grad_logits[:, cols] = objective_loss(
+                    trace.logits[:, cols], labels, train_ids, EXPOSURE, pseudo, weight,
+                    DEFAULT_MARGIN_ID, DEFAULT_MARGIN_OOD)
                 total += loss
             return total, backward(params, trace, grad_logits, weight_decay=0.0)
 
-        params = _stack([_model(d, h, seed) for seed in range(len(specs))])
+        params = _stack([_model(d, h, seed) for seed in range(blocks)])
         # every coordinate, the off-diagonal blocks of W2 included
         err = gradient_check(objective, params, step=1e-4, rng=np.random.default_rng(0),
                              max_coords_per_tensor=params.w2.size + params.w1.size)
@@ -666,17 +661,16 @@ class TestStackedGrid:
     def test_each_block_matches_its_weight_trained_alone(self, planted):
         X, A, labels, split, pseudo, P = self._problem(planted)
         cfg = TrainConfig(hidden_dim=8, max_epochs=80, patience=5, seed=1)
-        specs = [ObjectiveSpec(kind=EXPOSURE, exposure_weight=w, pseudo_ood_ids=pseudo,
-                               val_scorer="energy_prop") for w in self.WEIGHTS]
+        def train(weights):
+            return train_classifier(X, A, labels, split, cfg, EXPOSURE, output_dim=2,
+                                    id_class_count=2, pseudo_ood_ids=pseudo,
+                                    exposure_weights=weights, val_scorer="energy_prop",
+                                    row_stochastic=P)
 
-        def train(spec):
-            return train_classifier(X, A, labels, split, cfg, spec, output_dim=2,
-                                    id_class_count=2, row_stochastic=P)
-
-        stacked = train(specs)
-        assert len(stacked) == len(specs)
-        for spec, got in zip(specs, stacked):
-            alone = train(spec)
+        stacked = train(self.WEIGHTS)
+        assert len(stacked) == len(self.WEIGHTS)
+        for weight, got in zip(self.WEIGHTS, stacked):
+            [alone] = train([weight])
             assert len(got.history) == len(alone.history)
             assert got.best_epoch == alone.best_epoch
             assert got.best_val_score == alone.best_val_score
@@ -691,26 +685,6 @@ class TestStackedGrid:
         stops = [len(result.history) for result in stacked]
         assert len(set(stops)) == 3 and max(stops) < cfg.max_epochs
         assert stops.index(min(stops)) != len(stops) - 1
-
-    def test_specs_differing_beyond_the_weight_are_rejected(self, planted):
-        X, A, labels, split, pseudo, _ = self._problem(planted)
-        cfg = TrainConfig(hidden_dim=4, max_epochs=2, patience=2, seed=0)
-        spec = ObjectiveSpec(kind=EXPOSURE, pseudo_ood_ids=pseudo)
-
-        def train(specs):
-            return train_classifier(X, A, labels, split, cfg, specs, output_dim=2,
-                                    id_class_count=2)
-
-        same = dataclasses.replace(spec, exposure_weight=0.5, pseudo_ood_ids=pseudo.copy())
-        assert len(train([spec, same])) == 2
-        for other in (dataclasses.replace(spec, margin_ood=-2.0),
-                      dataclasses.replace(spec, pseudo_ood_ids=pseudo[1:]),
-                      dataclasses.replace(spec, val_scorer="msp"),
-                      ObjectiveSpec(kind=SUPERVISED)):
-            with pytest.raises(ValueError, match="differ only in exposure_weight"):
-                train([spec, other])
-        with pytest.raises(ValueError, match="non-empty"):
-            train([])
 
 
 @settings(max_examples=80, deadline=None)

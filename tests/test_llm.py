@@ -432,9 +432,13 @@ class TestIdentify:
             cache=ChatCache(tmp_path / "c.jsonl"), sample_size=30, seed=0)
         assert len(pseudo) == 0
         # downstream exposure training must refuse an empty pseudo set
-        from goe.objectives import ObjectiveSpec
+        from goe.gcn import TrainConfig, train_classifier
+        from goe.graph import normalize_adjacency
         with pytest.raises(ValueError, match="no pseudo-OOD"):
-            ObjectiveSpec(kind="exposure", pseudo_ood_ids=pseudo.node_ids).validate()
+            train_classifier(graph.embeddings, normalize_adjacency(graph),
+                             class_split.compact_labels(graph.labels), split, TrainConfig(),
+                             "exposure", output_dim=2, id_class_count=2,
+                             pseudo_ood_ids=pseudo.node_ids)
 
     def test_pool_excludes_evaluation_splits(self, planted_setup):
         graph, _, _, split = planted_setup

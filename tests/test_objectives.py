@@ -1,10 +1,15 @@
 """Loss values, gradients against finite differences, and energy identities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from goe.gcn import TrainConfig, train_classifier
 from goe.objectives import (
-    ObjectiveSpec,
+    EXPOSURE,
+    KPLUS1,
+    SUPERVISED,
     binary_head_loss,
     combined_loss,
     energy,
@@ -12,6 +17,8 @@ from goe.objectives import (
     kplus1_loss,
     supervised_loss,
 )
+
+from conftest import build_random_graph
 
 
 def finite_difference(loss_fn, logits, step=1e-6):
@@ -247,9 +254,23 @@ def test_all_losses_non_negative():
         assert binary_head_loss(rng.normal(size=10), np.array([0]), np.array([5]))[0] >= 0.0
 
 
-def test_objective_spec_validation():
-    ObjectiveSpec(kind="supervised").validate()
-    with pytest.raises(ValueError):
-        ObjectiveSpec(kind="exposure", pseudo_ood_ids=None).validate()
-    with pytest.raises(ValueError):
-        ObjectiveSpec(kind="nonsense").validate()
+def test_train_classifier_rejects_bad_objective_inputs():
+    _, X, A, labels = build_random_graph(seed=0, n=10)
+    split = SimpleNamespace(train_id=np.arange(4), val_id=np.array([4, 5]),
+                            val_ood=np.array([6, 7]))
+    cfg = TrainConfig(hidden_dim=4, max_epochs=1, patience=0)
+
+    def train(objective, **kwargs):
+        return train_classifier(X, A, labels, split, cfg, objective, output_dim=2,
+                                id_class_count=2, **kwargs)
+
+    assert len(train(SUPERVISED)) == 1
+    with pytest.raises(ValueError, match="unknown objective kind 'nonsense'"):
+        train("nonsense")
+    for kind in (EXPOSURE, KPLUS1):
+        for pseudo in (None, np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="no pseudo-OOD"):
+                train(kind, pseudo_ood_ids=pseudo)
+    for weights in ([], [0.05, -0.5]):
+        with pytest.raises(ValueError, match="exposure_weights must be non-empty"):
+            train(EXPOSURE, pseudo_ood_ids=np.array([8, 9]), exposure_weights=weights)
