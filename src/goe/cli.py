@@ -242,7 +242,9 @@ def prepare(directory: str, id_classes: str, seed: int, train_per_class: int,
 @_id_classes_option
 @click.option("--seed", default=None, type=int,
               help="Sampling seed (default: the split's seed).")
-@click.option("--concurrency", default=_DEFAULTS.llm.concurrency, show_default=True)
+@click.option("--concurrency", default=_DEFAULTS.llm.concurrency, show_default=True,
+              help="Chat calls in parallel threads, for a remote endpoint; the "
+                   "mock and replay clients answer in the calling thread.")
 @_llm_options
 def annotate(directory: str, id_classes: str | None, seed: int | None, **flags):
     """Ask the chat model to flag pseudo-OOD nodes among unlabeled ones."""

@@ -458,13 +458,20 @@ def write_scores_csv(rows: list[dict], path: Path | str) -> None:
 def read_scores_csv(path: Path | str) -> list[dict]:
     rows = []
     with Path(path).open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({
-                "node_id": int(rec["node_id"]),
-                "is_ood_truth": int(rec["is_ood_truth"]),
-                "method": rec["method"],
-                "score": float(rec["score"]),
-            })
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                rows.append({
+                    "node_id": int(rec["node_id"]),
+                    "is_ood_truth": int(rec["is_ood_truth"]),
+                    "method": rec["method"],
+                    "score": float(rec["score"]),
+                })
+            except KeyError as exc:
+                raise InputError(f"{path}: line 1 has no {exc.args[0]!r} column") from None
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise InputError(f"{path}: line {reader.line_num} is not a score row: "
+                                 f"{exc}") from None
     if not rows:
         raise InputError(f"{path} holds no scores")
     return rows

@@ -10,13 +10,14 @@ Two pipelines produce pseudo-OOD training signal without real OOD labels:
 Chat traffic flows through an append-only jsonl cache keyed by
 hash(model, prompt), so every pipeline can be replayed offline and
 byte-for-byte deterministically. Both pipelines ask through ``_ask``: it looks
-every prompt up in the calling thread, and only the chat calls for misses go
-to worker threads, at most ``8 × workers`` of them in flight. The caller takes
-their replies in submission order and appends each record with one
-``os.write`` under ``flock``, so the log's record order depends only on the
-prompts; a slow oldest call holds back new submissions while the other calls
-run on. Identification asks for its whole sample on ``concurrency`` threads;
-generation asks for one prompt per call.
+every prompt up in the calling thread and appends each miss's reply with one
+``os.write`` under ``flock``, in submission order, so the log's record order
+depends only on the prompts. Threads only help a client that waits on the
+network: the mock and replay clients answer in the calling thread, while any
+other client at ``concurrency > 1`` gets worker threads, at most
+``8 × concurrency`` calls in flight, and a slow oldest call holds back new
+submissions while the other calls run on. Identification asks for its whole
+sample in one ``_ask``; generation asks for one prompt per call.
 """
 
 from __future__ import annotations
@@ -340,25 +341,34 @@ def _complete_misses(client, model: str, misses: list[tuple[int, str, str]],
                      on_response, *, workers: int,
                      temperature: float = IDENTIFY_TEMPERATURE,
                      max_tokens: int = IDENTIFY_MAX_TOKENS) -> None:
-    """Run the chat call of each ``(index, key, prompt)`` miss on worker threads.
+    """Run the chat call of each ``(index, key, prompt)`` miss.
 
-    At most ``8 × workers`` calls are in flight. The calling thread waits for
-    the oldest, runs ``on_response(miss, response)`` and only then submits
-    the next miss, so responses arrive in the order of ``misses`` whatever
-    the timing. The price is head-of-line waiting: a slow oldest call holds
-    back new submissions, though the calls already queued keep running. If a
-    call raises, the calls not yet started are cancelled, the replies of
-    calls already running are still passed on, and the first error is raised.
+    With one worker the calls run in the calling thread, one at a time: each
+    reply goes to ``on_response(miss, response)`` before the next call, and
+    an error is raised as it comes, after the replies before it were passed
+    on. With more, the calls run on worker threads, at most ``8 × workers``
+    in flight. The calling thread waits for the oldest, runs ``on_response``
+    and only then submits the next miss, so responses arrive in the order of
+    ``misses`` whatever the timing. The price is head-of-line waiting: a slow
+    oldest call holds back new submissions, though the calls already queued
+    keep running. If a call raises, the calls not yet started are cancelled,
+    the replies of calls already running are still passed on, and the first
+    error is raised.
     """
+    def call(miss: tuple[int, str, str]) -> str:
+        return client.complete(model, [{"role": "user", "content": miss[2]}],
+                               temperature=temperature, max_tokens=max_tokens)
+
+    if workers == 1:
+        for miss in misses:
+            on_response(miss, call(miss))
+        return
     todo = iter(misses)
     window: deque = deque()
     error: Exception | None = None
     with ThreadPoolExecutor(max_workers=workers) as executor:
         def submit(miss: tuple[int, str, str]) -> None:
-            messages = [{"role": "user", "content": miss[2]}]
-            window.append((executor.submit(client.complete, model, messages,
-                                           temperature=temperature,
-                                           max_tokens=max_tokens), miss))
+            window.append((executor.submit(call, miss), miss))
 
         try:
             for miss in itertools.islice(todo, 8 * workers):
@@ -387,11 +397,15 @@ def _ask(client, cache: ChatCache | None, model: str, head: str, texts, tag, *,
          node_ids=None, workers: int = 1, temperature: float,
          max_tokens: int) -> list[str]:
     """The reply to each prompt ``head + text``: from the cache, else from
-    ``_complete_misses`` on ``workers`` threads. Lookups run in the calling
+    ``_complete_misses`` with ``workers`` workers. Lookups run in the calling
     thread and hash ``model`` and ``head`` once; each miss's reply is appended
     to the cache in submission order, with ``node_ids[i]`` (or None) and
     ``parsed`` set to ``tag(reply)``. If a call raises, the replies received
-    so far are still recorded and the error is re-raised."""
+    so far are still recorded and the error is re-raised. The mock and
+    replay clients never wait on the network, so they answer in the calling
+    thread whatever ``workers`` is."""
+    if isinstance(client, (MockChatClient, ReplayChatClient)):
+        workers = 1
     key_of = _prefix_keyer(model, head)
     replies: list[str | None] = [None] * len(texts)
     misses = []
@@ -501,9 +515,11 @@ def identify_pseudo_ood(
 ) -> tuple[PseudoOodSet, list[LlmAnnotation]]:
     """Sample unlabeled nodes, annotate them, keep the ones marked OOD.
 
-    The prompts go through ``_ask`` on ``concurrency`` threads, so cache
-    records land in sample order at any concurrency. Each distinct response
-    is parsed once. Annotations come back in node-id order.
+    The prompts go through ``_ask``, which uses ``concurrency`` threads only
+    for a client that waits on the network (the mock and replay clients
+    answer in the calling thread); cache records land in sample order at any
+    concurrency. Each distinct response is parsed once. Annotations come back
+    in node-id order.
     """
     pool = annotation_pool(graph, split)
     if len(pool) < sample_size:

@@ -569,6 +569,17 @@ INPUT_FAULTS = [
      "config.json lists no scores.csv"),
     ("eval-empty-scores-file", _run_with_edited("eval", "scores.csv", ""),
      "scores.csv holds no scores"),
+    ("eval-non-numeric-score",
+     _run_with_edited("eval", "scores.csv",
+                      "node_id,is_ood_truth,method,score\n0,0,energy,1.5\n1,1,energy,abc\n"),
+     "scores.csv: line 3 is not a score row: could not convert string to float: 'abc'"),
+    ("eval-scores-without-truth-column",
+     _run_with_edited("eval", "scores.csv", "node_id,method,score\n0,energy,1.5\n"),
+     "scores.csv: line 1 has no 'is_ood_truth' column"),
+    ("export-non-numeric-score",
+     _run_with_edited("export-scores", "scores.csv",
+                      "node_id,is_ood_truth,method,score\n0,0,energy,abc\n"),
+     "scores.csv: line 2 is not a score row: could not convert string to float: 'abc'"),
 ]
 
 

@@ -575,6 +575,57 @@ class TestIdentify:
         # nothing is submitted while the oldest call blocks the window
         assert seen[0][2] == window
 
+    def test_mock_client_answers_in_the_calling_thread(self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        threads = set()
+
+        def reply(prompt):
+            threads.add(threading.get_ident())
+            return "none"
+
+        client = MockChatClient(reply_fn=reply)
+        identify_pseudo_ood(graph, manifest, class_split, split, client=client,
+                            cache=ChatCache(tmp_path / "c.jsonl"), sample_size=40, seed=0,
+                            concurrency=4)
+        assert threads == {threading.get_ident()}
+        assert client.calls == 40
+
+    def test_in_process_failure_stops_at_the_failing_call(self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        mock = MockChatClient()
+
+        def reply(prompt):
+            if client.calls == 10:
+                raise ConnectionError("call 10 failed")
+            return mock.complete(DEFAULT_MODEL, [{"role": "user", "content": prompt}])
+
+        client = MockChatClient(reply_fn=reply)
+        cache_path = tmp_path / "c.jsonl"
+        with pytest.raises(ConnectionError, match="call 10 failed"):
+            identify_pseudo_ood(graph, manifest, class_split, split, client=client,
+                                cache=ChatCache(cache_path), sample_size=80, seed=0,
+                                concurrency=4)
+        assert client.calls == 10
+        assert len(ChatCache(cache_path)) == 9
+        assert len(cache_path.read_text().splitlines()) == 9
+
+    def test_mock_cold_log_and_pseudo_set_do_not_depend_on_concurrency(
+            self, planted_setup, tmp_path):
+        graph, manifest, class_split, split = planted_setup
+        outputs = []
+        for concurrency in (1, 2, 4):
+            path = tmp_path / f"c{concurrency}.jsonl"
+            pseudo, _ = identify_pseudo_ood(
+                graph, manifest, class_split, split, client=MockChatClient(),
+                cache=ChatCache(path), sample_size=60, seed=0, concurrency=concurrency)
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for rec in records:
+                del rec["timestamp"]
+            save_pseudo_set(pseudo, tmp_path / f"p{concurrency}.json")
+            outputs.append((records, (tmp_path / f"p{concurrency}.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert hashlib.sha256(outputs[0][1]).hexdigest() == PSEUDO_SET_SHA256
+
     def test_replay_keeps_the_cache_file_and_pseudo_set_bytes(self, planted_setup, tmp_path):
         graph, manifest, class_split, split = planted_setup
         cache_path = tmp_path / "annotations.jsonl"
