@@ -87,7 +87,8 @@ def _run_config(directory: Path, inputs: tuple, method: str, seeds: list[int], o
     sizes = dict(train_per_class=len(split.train_id) // k, val_per_class=len(split.val_id) // k,
                  test_id_size=len(split.test_id), test_ood_size=len(split.test_ood))
     try:
-        given = json.loads(Path(path).read_text()) if path else _flags_config(classes, flags)
+        given = (json.loads(Path(path).read_text(encoding="utf-8")) if path
+                 else _flags_config(classes, flags))
         if not isinstance(given, dict):
             raise InputError("not a JSON object")
         config = harness.ExperimentConfig.from_dict({
@@ -323,7 +324,7 @@ def _score_files(run_dir: Path) -> list[Path]:
     missing file, fails in one line."""
     path = run_dir / "config.json"
     try:
-        record = json.loads(path.read_text())
+        record = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InputError(f"{path} is not JSON: {exc}") from None
     names = record.get("artifacts") if isinstance(record, dict) else None
@@ -352,7 +353,7 @@ def eval_cmd(run_dir: str):
         )
     report_path = run_dir / "report.json"
     if report_path.exists():
-        stored = json.loads(report_path.read_text())
+        stored = json.loads(report_path.read_text(encoding="utf-8"))
         click.echo("stored means: " + json.dumps(stored["mean"], sort_keys=True))
 
 
@@ -377,7 +378,7 @@ def compare(directory: str, methods: str, seeds: str, **flags):
 
     table = harness.format_results_table(reports)
     results_path = Path(out) / "results.md"
-    results_path.write_text(table)
+    results_path.write_text(table, encoding="utf-8")
     click.echo(f"results table -> {results_path}")
 
 

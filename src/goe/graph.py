@@ -125,10 +125,6 @@ class ClassSplit:
     def num_id_classes(self) -> int:
         return len(self.id_classes)
 
-    @property
-    def num_ood_classes(self) -> int:
-        return len(self.ood_classes)
-
     def compact_labels(self, labels: np.ndarray) -> np.ndarray:
         """Map original labels to [0, K) for ID classes, -1 for everything else."""
         out = np.full(labels.shape, -1, dtype=np.int64)
@@ -243,7 +239,7 @@ def _read_nodes(path: Path) -> tuple[list[int], list[str], list[int]]:
     labels: list[int] = []
     first = 1   # line number of the block's first line
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             while lines := fh.readlines(_NODE_BLOCK_BYTES):
                 block = _parse_node_block(lines)
                 if block is None:
@@ -339,7 +335,7 @@ def _id_order(ids: np.ndarray) -> np.ndarray | None:
 def _parse_edge_lines(path: Path, node_count: int) -> np.ndarray:
     """The edge-line rule applied line by line; raises naming the first bad line."""
     pairs = []
-    with path.open(errors="replace") as fh:
+    with path.open(encoding="utf-8", errors="replace") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -391,7 +387,7 @@ def load_manifest(directory: Path | str) -> DatasetManifest:
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InputError(f"manifest.json: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -457,17 +453,17 @@ def save_dataset(graph: TextAttributedGraph, manifest: DatasetManifest,
         "category_names": manifest.category_names,
         "embedding_dim": manifest.embedding_dim,
         "node_count": manifest.node_count,
-    }, indent=2) + "\n")
+    }, indent=2) + "\n", encoding="utf-8")
     # Each line is byte for byte what json.dumps of the record writes.
     encode = json.JSONEncoder().encode
-    with (directory / "nodes.jsonl").open("w") as fh:
+    with (directory / "nodes.jsonl").open("w", encoding="utf-8") as fh:
         for start in range(0, graph.node_count, _WRITE_CHUNK_ROWS):
             stop = start + _WRITE_CHUNK_ROWS
             labels = graph.labels[start:stop].astype(np.int64).tolist()
             fh.write("".join(
                 f'{{"id": {i}, "text": {encode(text)}, "label": {label}}}\n'
                 for i, text, label in zip(range(start, stop), graph.texts[start:stop], labels)))
-    with (directory / "edges.tsv").open("w") as fh:
+    with (directory / "edges.tsv").open("w", encoding="utf-8") as fh:
         for start in range(0, len(graph.edges), _WRITE_CHUNK_ROWS):
             rows = graph.edges[start:start + _WRITE_CHUNK_ROWS]
             fh.write(("%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
@@ -603,13 +599,13 @@ def save_split(split: DataSplit, path: Path | str,
         payload[name] = [int(v) for v in ids]
     if id_classes is not None:
         payload["id_classes"] = [int(v) for v in id_classes]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_split(path: Path | str) -> tuple[DataSplit, list[int] | None]:
     """Read split.json. A node-id set or ``id_classes`` that is not a list of
     JSON integers fails, and so does a ``seed`` that is not one."""
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise InputError("not a JSON object")
 

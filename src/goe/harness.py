@@ -144,10 +144,6 @@ class ExperimentConfig:
         settings = LlmSettings.from_dict(data.pop("llm", {}))
         return cls(train=train, llm=settings, **known_keys(cls, data, "top-level"))
 
-    @classmethod
-    def from_json(cls, path: Path | str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
     def config_hash(self) -> str:
         payload = self.to_dict()
         payload.pop("output_dir", None)  # paths do not affect results
@@ -172,7 +168,8 @@ class EvalReport:
 
 
 def write_report(report: EvalReport, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def aggregate_report(method: str, config_hash: str, per_seed: list[dict]) -> EvalReport:
@@ -447,7 +444,7 @@ def run_seed(
 def write_scores_csv(rows: list[dict], path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "is_ood_truth", "method", "score"])
         for row in rows:
@@ -457,7 +454,7 @@ def write_scores_csv(rows: list[dict], path: Path | str) -> None:
 
 def read_scores_csv(path: Path | str) -> list[dict]:
     rows = []
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:
@@ -528,7 +525,7 @@ def write_run(out_dir: Path, config: ExperimentConfig, per_seed: list[dict],
         "artifacts": ["report.json", *artifacts],
     }
     (out_dir / "config.json").write_text(
-        json.dumps(run_record, sort_keys=True, indent=2) + "\n")
+        json.dumps(run_record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return report
 
 
@@ -580,11 +577,11 @@ def sweep_pseudo_count(config: ExperimentConfig,
             row.update({f"{name}_std": report.std[name] for name in METRIC_NAMES})
         rows.append(row)
 
-    (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
+    (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     table = [[str(row["count"])] + [f"{row[name]:.4f}" for name in METRIC_NAMES]
              for row in rows]
     (out_dir / "sweep.md").write_text(
-        _markdown_table(["Pseudo-OOD count", *METRIC_HEADERS], table))
+        _markdown_table(["Pseudo-OOD count", *METRIC_HEADERS], table), encoding="utf-8")
     return rows
 
 
@@ -596,7 +593,7 @@ def export_histogram(scores_csv: Path | str, out_path: Path | str,
     is_ood = np.array([bool(r["is_ood_truth"]) for r in rows])
     hist = metrics.score_histogram(scores, is_ood, bins=bins)
     out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh:
+    with out_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count_id", "count_ood"])
         for row in hist:

@@ -86,6 +86,15 @@ def text_key(text: str) -> str:
 # Chat clients and response cache
 # ---------------------------------------------------------------------------
 
+def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+# (device, inode) -> the last cache that loaded that file, while it lives
+_OPEN_CACHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_OPEN_LOCK = threading.Lock()
+
+
 class ChatCache:
     """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
 
@@ -107,6 +116,15 @@ class ChatCache:
     Any other unreadable line, or one without a string ``key`` and
     ``response``, raises naming the file and the line; a file that is not
     UTF-8 text raises naming the file.
+
+    Caches open on one unchanged file in one process share a parse. A new
+    cache copies the responses and repair state of a live cache on the same
+    file instead of reading it, when that cache has made no ``put`` since it
+    loaded and ``os.stat`` still gives the (device, inode, size, mtime) it
+    saw under ``LOCK_SH``. So replaying the run's own cache file reads it
+    once. Only weak references are kept: once every cache on a file is
+    freed, the next one parses it again. A torn last line is warned about by
+    the load that parses it.
     """
 
     def __init__(self, path: Path | str):
@@ -116,17 +134,33 @@ class ChatCache:
         self._fd: int | None = None
         # (size seen at load, size to cut the file to, bytes to write first)
         self._repair: tuple[int, int, bytes] | None = None
-        if self.path.exists():
-            try:
-                self._load()
-            except UnicodeDecodeError:
-                raise InputError(f"{self.path} is not UTF-8 text") from None
+        # (device, inode, size, mtime) of the file at load; None once this cache wrote
+        self._signature: tuple[int, int, int, int] | None = None
+        if not self.path.exists():
+            return
+        signature = _signature(os.stat(self.path))
+        with _OPEN_LOCK:
+            twin = _OPEN_CACHES.get(signature[:2])
+            if twin is not None:
+                with twin._lock:
+                    if twin._signature == signature:
+                        self._responses = dict(twin._responses)
+                        self._repair = twin._repair
+                        self._signature = signature
+                        return
+        try:
+            self._load()
+        except UnicodeDecodeError:
+            raise InputError(f"{self.path} is not UTF-8 text") from None
+        with _OPEN_LOCK:
+            _OPEN_CACHES[self._signature[:2]] = self
 
     def _load(self) -> None:
         line = "\n"
-        with self.path.open() as fh:
+        with self.path.open(encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            size = os.fstat(fh.fileno()).st_size
+            self._signature = _signature(os.fstat(fh.fileno()))
+            size = self._signature[2]
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -139,7 +173,7 @@ class ChatCache:
                         ) from None
                     warnings.warn(f"{self.path}: skipping torn last line {number}",
                                   stacklevel=3)
-                    self._repair = (size, size - len(line.encode(fh.encoding)), b"")
+                    self._repair = (size, size - len(line.encode("utf-8")), b"")
                     return
                 fields = rec if isinstance(rec, dict) else {}
                 key, response = fields.get("key"), fields.get("response")
@@ -166,6 +200,7 @@ class ChatCache:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
                 weakref.finalize(self, os.close, self._fd)
+            self._signature = None
             fcntl.flock(self._fd, fcntl.LOCK_EX)
             try:
                 if self._repair is not None:
@@ -703,7 +738,7 @@ def _generate_for_category(name: str, count: int, object_kind: str, client,
 
 
 def save_generated(nodes: list[GeneratedNode], path: Path | str) -> None:
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for node in nodes:
             fh.write(json.dumps({
                 "category": node.category, "title": node.title, "abstract": node.body,
@@ -724,7 +759,7 @@ def _jsonl_records(path: Path | str, what: str, fields: dict[str, type]):
     that is not UTF-8 text raises one naming the file.
     """
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -910,16 +945,32 @@ def augment_graph(
     return combined
 
 
+_PROVENANCE_ROW = '    {\n      "node_id": %d,\n      "parsed": %s\n    }'
+
+
 def save_pseudo_set(pseudo: PseudoOodSet, path: Path | str) -> None:
-    Path(path).write_text(json.dumps({
-        "mode": pseudo.mode,
-        "node_ids": [int(v) for v in pseudo.node_ids],
-        "provenance": pseudo.provenance,
-    }, indent=2) + "\n")
+    """Write the bytes of ``json.dumps({"mode", "node_ids", "provenance"},
+    indent=2) + "\\n"``, built from one template per provenance row, since
+    ``indent`` makes ``json.dumps`` run its pure-Python encoder. A row must
+    hold exactly an int ``node_id`` and a str ``parsed``, in that order."""
+    encode = functools.cache(json.dumps)   # each distinct ``parsed`` once
+    rows = []
+    for row in pseudo.provenance:
+        if tuple(row) != ("node_id", "parsed") or type(row["node_id"]) is not int \
+                or not isinstance(row["parsed"], str):
+            raise ValueError(f"not a provenance row of node_id and parsed: {row!r}")
+        rows.append(_PROVENANCE_ROW % (row["node_id"], encode(row["parsed"])))
+    ids = [str(int(v)) for v in pseudo.node_ids]
+    Path(path).write_text(
+        '{\n  "mode": %s,\n  "node_ids": %s,\n  "provenance": %s\n}\n' % (
+            json.dumps(pseudo.mode),
+            "[\n    " + ",\n    ".join(ids) + "\n  ]" if ids else "[]",
+            "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"),
+        encoding="utf-8")
 
 
 def load_pseudo_set(path: Path | str) -> PseudoOodSet:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     return PseudoOodSet(
         mode=data["mode"],
         node_ids=np.array(data["node_ids"], dtype=np.int64),

@@ -70,7 +70,7 @@ class TestExperimentConfig:
         cfg = _config(dataset_dir, tmp_path)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert ExperimentConfig.from_json(path).to_dict() == cfg.to_dict()
+        assert ExperimentConfig.from_dict(json.loads(path.read_text())).to_dict() == cfg.to_dict()
 
 
 def test_config_hash_is_pinned():

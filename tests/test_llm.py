@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -13,10 +15,17 @@ import warnings
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goe.graph import InputError, TextAttributedGraph, make_class_split, sample_data_split
+import goe
+from goe.graph import (
+    InputError,
+    TextAttributedGraph,
+    make_class_split,
+    sample_data_split,
+    save_dataset,
+)
 from goe.llm import (
     DEFAULT_MODEL,
     ChatCache,
@@ -28,6 +37,7 @@ from goe.llm import (
     PrecomputedEmbeddingProvider,
     PseudoOodSet,
     ReplayChatClient,
+    ReplayMiss,
     annotation_accuracy,
     annotation_pool,
     augment_graph,
@@ -412,6 +422,111 @@ class TestChatCache:
             ChatCache(path)
         message = str(caught.value)
         assert message == f"{path}: line 2 is not a chat record: no string {field!r}"
+
+    def _file_of(self, tmp_path, prompts):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(json.dumps(self._record(p)) + "\n" for p in prompts))
+        return path
+
+    @staticmethod
+    def _count_loads(monkeypatch) -> list[int]:
+        """Count the file parses, without keeping a reference to any cache."""
+        loads = []
+        real_load = ChatCache._load
+
+        def load(cache):
+            loads.append(1)
+            real_load(cache)
+
+        monkeypatch.setattr(ChatCache, "_load", load)
+        return loads
+
+    @pytest.mark.parametrize("client_first", [True, False], ids=["client-first", "cache-first"])
+    def test_a_client_and_a_cache_on_one_file_parse_it_once(self, tmp_path, monkeypatch,
+                                                             client_first):
+        path = self._file_of(tmp_path, ("a", "b"))
+        loads = self._count_loads(monkeypatch)
+        if client_first:
+            client, cache = ReplayChatClient(path), ChatCache(path)
+        else:
+            cache, client = ChatCache(path), ReplayChatClient(path)
+        assert len(loads) == 1
+        assert len(cache) == 2
+        assert client.complete("m", [{"role": "user", "content": "b"}]) == "reply to b"
+        # each cache owns its responses, as after two loads
+        cache.put(self._record("c"))
+        assert cache.get(chat_key("m", "c")) == "reply to c"
+        with pytest.raises(ReplayMiss):
+            client.complete("m", [{"role": "user", "content": "c"}])
+
+    def test_a_put_or_another_writers_append_makes_the_next_open_parse(self, tmp_path,
+                                                                        monkeypatch):
+        path = self._file_of(tmp_path, ("a",))
+        loads = self._count_loads(monkeypatch)
+        first = ChatCache(path)
+        first.put(self._record("b"))
+        second = ChatCache(path)
+        assert len(loads) == 2
+        assert len(second) == 2
+        with path.open("a") as fh:
+            fh.write(json.dumps(self._record("c")) + "\n")
+        third = ChatCache(path)
+        assert len(loads) == 3
+        assert third.get(chat_key("m", "c")) == "reply to c"
+        assert len(ChatCache(path)) == 3
+        assert len(loads) == 3
+
+    def test_opens_racing_a_writer_never_copy_a_stale_parse(self, tmp_path):
+        """Each cache opened while another thread appends holds every record
+        put before the open began, and none that had not begun when it ended."""
+        path = tmp_path / "cache.jsonl"
+        writer = ChatCache(path)    # a cache opened on no file shares with no one
+        writer.put(self._record("seed"))
+        started, done, bad = [0], [0], []
+
+        def write():
+            for i in range(60):
+                started[0] += 1
+                writer.put(self._record(f"w {i}"))
+                done[0] += 1
+                time.sleep(0)   # let the readers open between puts
+
+        def read():
+            opened = []
+            while done[0] < 60 and not bad:
+                low = done[0]
+                opened.append(ChatCache(path))
+                high = started[0]
+                if not low <= len(opened[-1]) - 1 <= high:
+                    bad.append((low, len(opened[-1]) - 1, high))
+                del opened[:-3]    # keep a few live caches to copy from
+
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read)
+                                                       for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert len(ChatCache(path)) == 61
+
+    def test_the_next_open_parses_once_every_cache_is_freed(self, tmp_path, monkeypatch):
+        """No reference cycle keeps a freed cache alive until a collection."""
+        path = self._file_of(tmp_path, ("a", "b"))
+        loads = self._count_loads(monkeypatch)
+        writer = ChatCache(path)
+        writer.put(self._record("c"))
+        client, cache = ReplayChatClient(path), ChatCache(path)
+        assert len(loads) == 2
+        del writer, client, cache
+        assert len(ChatCache(path)) == 3
+        assert len(loads) == 3
 
 
 class TestIdentify:
@@ -942,6 +1057,47 @@ def test_pseudo_set_roundtrip(tmp_path):
     assert loaded.provenance == pseudo.provenance
 
 
+# quotes, backslashes, control and non-ASCII characters, and any text at all
+_PARSED = (st.text(st.sampled_from('"\\\n\tae\u00e9\u5b57\U0001f600\x00'), max_size=6)
+           | st.text(max_size=6))
+
+
+@given(mode=st.sampled_from(["identified", "generated"]),
+       node_ids=st.lists(st.integers(0, 2**40), max_size=6),
+       rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), _PARSED), max_size=6))
+@example(mode="identified", node_ids=[], rows=[])
+@example(mode="identified", node_ids=[], rows=[(4, "ood")])
+@example(mode="identified", node_ids=[7], rows=[])
+@example(mode="identified", node_ids=[1, 2],
+         rows=[(1, 'say "none" \\ caf\u00e9 \u5b57'), (2, 'say "none" \\ caf\u00e9 \u5b57')])
+@settings(max_examples=150, deadline=None)
+def test_pseudo_set_bytes_are_those_of_json_dumps(mode, node_ids, rows):
+    provenance = [{"node_id": node_id, "parsed": parsed} for node_id, parsed in rows]
+    expected = json.dumps({"mode": mode, "node_ids": node_ids, "provenance": provenance},
+                          indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "pseudo.json")
+        save_pseudo_set(PseudoOodSet(mode=mode, node_ids=np.array(node_ids, dtype=np.int64),
+                                     provenance=provenance), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("row", [
+    {"node_id": 3, "parsed": "ood", "extra": 1},
+    {"node_id": 3},
+    {"parsed": "ood", "node_id": 3},
+    {"node_id": True, "parsed": "ood"},
+    {"node_id": np.int64(3), "parsed": "ood"},
+    {"node_id": 3, "parsed": None},
+], ids=["extra-key", "no-parsed", "reordered", "bool-id", "numpy-id", "null-parsed"])
+def test_pseudo_set_row_other_than_node_id_and_parsed_raises(tmp_path, row):
+    pseudo = PseudoOodSet(mode="identified", node_ids=np.array([3]),
+                          provenance=[{"node_id": 1, "parsed": "id:A"}, row])
+    with pytest.raises(ValueError, match="not a provenance row"):
+        save_pseudo_set(pseudo, tmp_path / "pseudo.json")
+
+
 def _records(path):
     """The cache file's records, in file order, each without its timestamp."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -1051,3 +1207,43 @@ def test_annotation_accuracy_equals_the_counting_loop(data):
     else:
         accuracy = annotation_accuracy(annotations, labels, class_split)
         assert type(accuracy) is float and accuracy == correct / total
+
+
+
+def test_text_files_are_read_and_written_as_utf8_under_the_c_locale(planted, tmp_path):
+    """With UTF-8 mode and locale coercion off, the C locale's codec is ASCII; a
+    dataset and a chat cache holding non-ASCII text must still load, and a torn
+    non-ASCII last line is cut back by its UTF-8 length."""
+    graph, manifest = planted
+    texts = list(graph.texts)
+    texts[0] = "Caf\u00e9 na\u00efve \u5b57 " + texts[0]
+    save_dataset(dataclasses.replace(graph, texts=texts), manifest, tmp_path / "data")
+    record = {"key": chat_key("m", "a"), "node_id": None, "prompt": "a",
+              "response": "r\u00e9ponse \u5b57", "parsed": "", "model": "m", "timestamp": ""}
+    torn = dict(record, key=chat_key("m", "b"), prompt="b", response="\u00e9" * 40)
+    cache_path = tmp_path / "cache.jsonl"
+    lines = [json.dumps(rec, ensure_ascii=False) + "\n" for rec in (record, torn)]
+    cache_path.write_bytes((lines[0] + lines[1][:-30]).encode("utf-8"))
+    script = (
+        "import json, sys, warnings\n"
+        "from goe.graph import load_dataset\n"
+        "from goe.llm import ChatCache\n"
+        "graph, _ = load_dataset(sys.argv[1])\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    cache = ChatCache(sys.argv[2])\n"
+        "cache.put(json.loads(sys.argv[3]))\n"
+        "print(ascii(graph.texts[0]))\n"
+        "print(ascii(cache.get(sys.argv[4])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(goe.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "data"), str(cache_path),
+         json.dumps(torn), record["key"]],
+        env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert result.stdout.decode("ascii").splitlines() == [ascii(texts[0]),
+                                                          ascii(record["response"])]
+    assert cache_path.read_bytes() == (lines[0] + json.dumps(torn) + "\n").encode("utf-8")
