@@ -19,10 +19,8 @@ block's hidden dropout mask and multiplies in one block's order, so the
 blocks share each epoch's masks. Each stops early alone, and each weight gets
 its own ``TrainResult``.
 
-The backward pass uses ``A_hat.T == A_hat``, so the adjacency must be
-symmetric; ``graph.normalize_adjacency`` guarantees this. Dropout and ReLU
-masks are kept as bool arrays and the inverted-dropout scale is applied where
-a mask is used.
+Dropout and ReLU masks are kept as bool arrays and the inverted-dropout
+scale is applied where a mask is used.
 
 Both passes run on a ``ReceptiveField``: the output rows F0, the rows F1 that
 layer 2 reads (F0 and its neighbours) and the rows F2 that layer 1 reads (F1
@@ -30,12 +28,12 @@ and its neighbours). Logits on F0 depend on nothing outside F2, so a pass on
 the field gives the full-graph rows of F0, and the full-graph gradients of a
 loss that reads only F0. ``train_classifier`` runs each epoch on two fields,
 one grown from the nodes the loss reads and one from the validation nodes,
-so an epoch costs in proportion to the fields, not to the graph. The blocks
-``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]`` stand in for the transposes
-of the forward blocks, which again needs a symmetric ``A_hat``. A plain
-adjacency is the whole-graph field. Entry (i, j) of a dropout mask is a
-counter hash of the pass's key, node i and column j (``dropout_mask``), so a
-pass computes only its field's rows and they equal the whole-graph mask's.
+so an epoch costs in proportion to the fields, not to the graph. The
+backward pass multiplies by the transposes of the forward pass's own blocks,
+so the gradients are exact for any adjacency. A plain adjacency is the
+whole-graph field. Entry (i, j) of a dropout mask is a counter hash of the
+pass's key, node i and column j (``dropout_mask``), so a pass computes only
+its field's rows and they equal the whole-graph mask's.
 """
 
 from __future__ import annotations
@@ -132,19 +130,16 @@ class ReceptiveField:
     ``rows`` holds the sorted node ids F0 ⊆ F1 ⊆ F2 (or ``slice(None)`` for
     the whole graph; a grown field's F2 is ``slice(None)`` when it holds every
     node). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
-    ``A_hat[F0][:, F1]``; ``layer1_t`` and ``layer2_t`` are their transposes,
-    sliced as ``A_hat[F2][:, F1]`` and ``A_hat[F1][:, F0]``.
+    ``A_hat[F0][:, F1]``.
     """
 
     rows: tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray | slice]
     layer1: sp.spmatrix
     layer2: sp.spmatrix
-    layer1_t: sp.spmatrix
-    layer2_t: sp.spmatrix
 
     @classmethod
     def whole(cls, adjacency: sp.spmatrix) -> "ReceptiveField":
-        return cls((slice(None),) * 3, adjacency, adjacency, adjacency, adjacency)
+        return cls((slice(None),) * 3, adjacency, adjacency)
 
     def local(self, node_ids: np.ndarray) -> np.ndarray:
         """Positions of ``node_ids`` (all in F0) among a grown field's output rows."""
@@ -173,12 +168,7 @@ def receptive_field(adjacency: sp.csr_matrix, targets: np.ndarray,
     inp = _grow(adjacency, mid)
     if inp.size == adjacency.shape[0]:
         inp = slice(None)          # forward then reads the features in place
-    mid_rows = adjacency[mid]
-    return ReceptiveField(
-        rows=(out, mid, inp),
-        layer1=mid_rows[:, inp], layer2=adjacency[out][:, mid],
-        layer1_t=adjacency[inp][:, mid], layer2_t=mid_rows[:, out],
-    )
+    return ReceptiveField((out, mid, inp), adjacency[mid][:, inp], adjacency[out][:, mid])
 
 
 def _keep_threshold(keep: float) -> int:
@@ -271,15 +261,15 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
     """Gradients of loss(logits) + (wd/2)*(|W1|^2 + |W2|^2) w.r.t. parameters.
 
     Weight decay touches the weight matrices only, never the biases. The
-    gradients take ``A_hat.T`` to be ``A_hat``, so the trace's adjacency must
-    be symmetric, as ``graph.normalize_adjacency`` builds it; the same path
-    serves either multiplication order of the forward pass. On a field,
-    ``grad_logits`` holds the F0 rows, and the loss must read no other rows.
+    gradients multiply by the transposes of the blocks the forward pass used
+    (CSC views, not copies), so they are exact for any adjacency and either
+    multiplication order. On a field, ``grad_logits`` holds the F0 rows, and
+    the loss must read no other rows.
     """
     if grad_logits.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match trace logits")
     field = trace.field
-    prop_grad = field.layer2_t @ grad_logits
+    prop_grad = field.layer2.T @ grad_logits
     grad_w2 = trace.dropped_hidden.T @ prop_grad
     grad_b2 = grad_logits.sum(axis=0)
     g = prop_grad @ params.w2.T
@@ -287,7 +277,7 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
         g *= trace.drop_mask_hidden
         g *= trace.dropout_scale
     g *= trace.relu_mask
-    grad_w1 = trace.dropped_input.T @ (field.layer1_t @ g)
+    grad_w1 = trace.dropped_input.T @ (field.layer1.T @ g)
     grad_b1 = g.sum(axis=0)
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * params.w1
@@ -295,14 +285,14 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
     return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: GcnParams | dict[str, np.ndarray]) -> AdamState:
@@ -318,15 +308,15 @@ def adam_step(state: AdamState, params: GcnParams | dict[str, np.ndarray],
     """One bias-corrected Adam update, in place."""
     tensors = params.tensors() if isinstance(params, GcnParams) else params
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - _ADAM_BETA1 ** state.t
+    bc2 = 1.0 - _ADAM_BETA2 ** state.t
     for name, p in tensors.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = _ADAM_BETA1 * state.m[name] + (1.0 - _ADAM_BETA1) * g
+        state.v[name] = _ADAM_BETA2 * state.v[name] + (1.0 - _ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def gradient_check(
@@ -403,9 +393,6 @@ class TrainConfig:
             raise InputError("patience must not exceed max_epochs")
         if not self.margin_ood > self.margin_id:
             raise InputError("margin_ood must exceed margin_id")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -626,18 +613,3 @@ def save_params(params: GcnParams, path: Path | str) -> None:
         for tensor in params.tensors().values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
-
-def load_params(path: Path | str) -> GcnParams:
-    raw = Path(path).read_bytes()
-    d, h, k_out = struct.unpack("<III", raw[:12])
-    shapes = [(d, h), (h,), (h, k_out), (k_out,)]
-    offset = 12
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors.append(arr.reshape(shape).astype(np.float64))
-        offset += count * 4
-    if offset != len(raw):
-        raise ValueError("params.bin has trailing bytes")
-    return GcnParams(*tensors)

@@ -425,10 +425,6 @@ def load_dataset(directory: Path | str) -> tuple[TextAttributedGraph, DatasetMan
     edges = _read_edges(directory / "edges.tsv", n)
 
     embeddings = _read_embeddings_bin(directory / "embeddings.bin")
-    if embeddings.shape[0] != n:
-        raise InputError(
-            f"row-count mismatch: {embeddings.shape[0]} embedding rows for {n} nodes"
-        )
     if embeddings.shape[1] != manifest.embedding_dim:
         raise InputError("embedding_dim in manifest does not match embeddings.bin")
     if manifest.node_count != n:

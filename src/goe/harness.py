@@ -265,13 +265,11 @@ def build_pseudo_supervision(
     augmented graph, whose generated nodes (ids n to n+m-1) are the pseudo set.
     """
     source = METHODS[config.method].pseudo_source or config.pseudo_source
-    client = build_chat_client(config)
-    cache = llm.ChatCache(default_cache_path(config))
 
     if source == "identifier":
         pseudo, _ = llm.identify_pseudo_ood(
             graph, manifest, class_split, split,
-            client=client, cache=cache,
+            client=build_chat_client(config), cache=llm.ChatCache(default_cache_path(config)),
             sample_size=config.llm.sample_size, seed=seed,
             model=config.llm.model, concurrency=config.llm.concurrency,
         )
@@ -292,7 +290,8 @@ def build_pseudo_supervision(
                 quotas = config.llm.per_class
             nodes, _ = llm.generate_pseudo_ood(
                 ood_names, per_class=quotas, object_kind=manifest.object_kind,
-                client=client, cache=cache, model=config.llm.model,
+                client=build_chat_client(config),
+                cache=llm.ChatCache(default_cache_path(config)), model=config.llm.model,
             )
         texts = [node.text for node in nodes]
         vectors = llm.embed_texts(build_embedding_provider(config, graph, manifest), texts,

@@ -48,24 +48,28 @@ def energy(logits: np.ndarray) -> np.ndarray | float:
     return out
 
 
+def _cross_entropy(logits: np.ndarray, ids: np.ndarray,
+                   targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the rows ``ids`` against the classes ``targets``."""
+    if np.any(targets < 0) or np.any(targets >= logits.shape[1]):
+        raise ValueError("training label outside [0, K)")
+    sub = logits[ids]
+    rows = np.arange(ids.size)
+    loss = float(-log_softmax(sub)[rows, targets].mean())
+    delta = softmax(sub)
+    delta[rows, targets] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[ids] = delta / ids.size
+    return loss, grad
+
+
 def supervised_loss(logits: np.ndarray, labels: np.ndarray,
                     train_ids: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the labeled training nodes."""
     train_ids = np.asarray(train_ids)
     if train_ids.size == 0:
         raise ValueError("empty training set")
-    k = logits.shape[1]
-    y = np.asarray(labels)[train_ids]
-    if np.any(y < 0) or np.any(y >= k):
-        raise ValueError("training label outside [0, K)")
-    sub = logits[train_ids]
-    ls = log_softmax(sub)
-    loss = float(-ls[np.arange(train_ids.size), y].mean())
-    grad = np.zeros_like(logits)
-    delta = softmax(sub)
-    delta[np.arange(train_ids.size), y] -= 1.0
-    grad[train_ids] = delta / train_ids.size
-    return loss, grad
+    return _cross_entropy(logits, train_ids, np.asarray(labels)[train_ids])
 
 
 def exposure_loss(logits: np.ndarray, id_ids: np.ndarray, ood_ids: np.ndarray,
@@ -126,24 +130,12 @@ def kplus1_loss(logits: np.ndarray, labels: np.ndarray, train_ids: np.ndarray,
     pseudo_ood_ids = np.asarray(pseudo_ood_ids)
     if pseudo_ood_ids.size == 0:
         raise ValueError("exposure requested but no pseudo-OOD available")
-    if train_ids.size + pseudo_ood_ids.size == 0:
-        raise ValueError("empty training set")
-    k = logits.shape[1] - 1
     ids = np.concatenate([train_ids, pseudo_ood_ids])
     targets = np.concatenate([
         np.asarray(labels)[train_ids],
-        np.full(pseudo_ood_ids.size, k, dtype=np.int64),
+        np.full(pseudo_ood_ids.size, logits.shape[1] - 1, dtype=np.int64),
     ])
-    if np.any(targets < 0) or np.any(targets > k):
-        raise ValueError("training label outside [0, K)")
-    sub = logits[ids]
-    ls = log_softmax(sub)
-    loss = float(-ls[np.arange(ids.size), targets].mean())
-    grad = np.zeros_like(logits)
-    delta = softmax(sub)
-    delta[np.arange(ids.size), targets] -= 1.0
-    grad[ids] = delta / ids.size
-    return loss, grad
+    return _cross_entropy(logits, ids, targets)
 
 
 def binary_head_loss(head_logits: np.ndarray, id_ids: np.ndarray,

@@ -678,6 +678,32 @@ def test_a_failed_experiment_clears_the_earlier_record(small_workspace, tmp_path
     assert sorted(path.name for path in (out / "energy").iterdir()) == ["seed-0"]
 
 
+def test_generator_on_a_generated_file_never_parses_the_chat_cache(small_workspace, tmp_path,
+                                                                   monkeypatch):
+    """With generated.jsonl on disk, goe_generator asks no chat model, so it opens no cache."""
+    from goe import llm
+
+    data = tmp_path / "data"
+    shutil.copytree(small_workspace / "data", data)
+    runner = CliRunner()
+    for argv in (["annotate", str(data), "--sample", "60", "--mock"],
+                 ["generate", str(data), "--per-class", "10", "--mock"]):
+        assert runner.invoke(main, argv).exit_code == 0
+    loads = []
+    real_load = llm.ChatCache._load
+
+    def counted(cache):
+        loads.append(cache.path)
+        real_load(cache)
+
+    monkeypatch.setattr(llm.ChatCache, "_load", counted)
+    result = runner.invoke(main, ["compare", str(data), "--methods", "goe_generator",
+                                  "--seeds", "0,1,2", "--provider", "centroid",
+                                  "--out", str(tmp_path / "cmp"), *_QUICK])
+    assert result.exit_code == 0, result.output
+    assert loads == []
+
+
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_every_command_renders_its_help(command):
     """Each option a command takes, shared declarations included, is listed once."""

@@ -423,7 +423,7 @@ class TestNormalizeAdjacency:
         assert np.all(a.sum(axis=1) > 0)
 
     def test_exactly_symmetric_on_planted_and_knn_augmented(self, planted):
-        # gcn.backward uses A_hat in place of A_hat.T
+        # normalize_adjacency promises exact symmetry, and the pinned outputs rely on it
         graph, _ = planted
         rows = np.random.default_rng(0).normal(size=(20, graph.embedding_dim))
         augmented = augment_graph(graph, [f"t{i}. b" for i in range(20)], rows, edge_mode="knn")
