@@ -39,6 +39,7 @@ its field's rows and they equal the whole-graph mask's.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,7 +131,9 @@ class ReceptiveField:
     ``rows`` holds the sorted node ids F0 ⊆ F1 ⊆ F2 (or ``slice(None)`` for
     the whole graph; a grown field's F2 is ``slice(None)`` when it holds every
     node). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
-    ``A_hat[F0][:, F1]``.
+    ``A_hat[F0][:, F1]``. ``layer1_t`` and ``layer2_t`` are their transposes,
+    CSC views sharing the blocks' arrays, built once per field for the
+    backward pass.
     """
 
     rows: tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray | slice]
@@ -140,6 +143,14 @@ class ReceptiveField:
     @classmethod
     def whole(cls, adjacency: sp.spmatrix) -> "ReceptiveField":
         return cls((slice(None),) * 3, adjacency, adjacency)
+
+    @functools.cached_property
+    def layer1_t(self) -> sp.spmatrix:
+        return self.layer1.T
+
+    @functools.cached_property
+    def layer2_t(self) -> sp.spmatrix:
+        return self.layer2.T
 
     def local(self, node_ids: np.ndarray) -> np.ndarray:
         """Positions of ``node_ids`` (all in F0) among a grown field's output rows."""
@@ -269,7 +280,7 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
     if grad_logits.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match trace logits")
     field = trace.field
-    prop_grad = field.layer2.T @ grad_logits
+    prop_grad = field.layer2_t @ grad_logits
     grad_w2 = trace.dropped_hidden.T @ prop_grad
     grad_b2 = grad_logits.sum(axis=0)
     g = prop_grad @ params.w2.T
@@ -277,7 +288,7 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
         g *= trace.drop_mask_hidden
         g *= trace.dropout_scale
     g *= trace.relu_mask
-    grad_w1 = trace.dropped_input.T @ (field.layer1.T @ g)
+    grad_w1 = trace.dropped_input.T @ (field.layer1_t @ g)
     grad_b1 = g.sum(axis=0)
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * params.w1

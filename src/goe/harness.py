@@ -202,8 +202,11 @@ def build_chat_client(config: ExperimentConfig):
     if kind == "mock":
         return llm.MockChatClient()
     if kind == "replay":
-        path = config.llm.replay_path or default_cache_path(config)
-        return llm.ReplayChatClient(path)
+        cache_path = default_cache_path(config)
+        client = llm.ReplayChatClient(config.llm.replay_path or cache_path)
+        if client.path.resolve() != cache_path.resolve():
+            client.load()   # a bad replay file fails here, before the run's cache answers
+        return client
     if kind == "remote":
         return llm.HttpChatClient()
     raise InputError(f"unknown chat client kind {kind!r}")
@@ -555,8 +558,7 @@ def format_results_table(reports: list[EvalReport]) -> str:
     return _markdown_table(["Method", *METRIC_HEADERS], rows)
 
 
-def sweep_pseudo_count(config: ExperimentConfig,
-                       counts: list[int] = (0, 2, 3, 5, 10, 20)) -> list[dict]:
+def sweep_pseudo_count(config: ExperimentConfig, counts: list[int]) -> list[dict]:
     """Generator-mode ablation over the number of generated pseudo-OOD nodes.
 
     Count 0 falls back to the plain energy baseline (no exposure). Returns

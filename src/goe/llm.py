@@ -86,15 +86,6 @@ def text_key(text: str) -> str:
 # Chat clients and response cache
 # ---------------------------------------------------------------------------
 
-def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-# (device, inode) -> the last cache that loaded that file, while it lives
-_OPEN_CACHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_OPEN_LOCK = threading.Lock()
-
-
 class ChatCache:
     """Append-only jsonl log of chat responses, keyed by hash(model, prompt).
 
@@ -117,14 +108,10 @@ class ChatCache:
     ``response``, raises naming the file and the line; a file that is not
     UTF-8 text raises naming the file.
 
-    Caches open on one unchanged file in one process share a parse. A new
-    cache copies the responses and repair state of a live cache on the same
-    file instead of reading it, when that cache has made no ``put`` since it
-    loaded and ``os.stat`` still gives the (device, inode, size, mtime) it
-    saw under ``LOCK_SH``. So replaying the run's own cache file reads it
-    once. Only weak references are kept: once every cache on a file is
-    freed, the next one parses it again. A torn last line is warned about by
-    the load that parses it.
+    Each cache parses its file once, when it opens. A ``ReplayChatClient``
+    reads its file only when first asked, and ``_ask`` looks every prompt up
+    in the run's cache before asking the client, so replaying the run's own
+    cache file parses it once.
     """
 
     def __init__(self, path: Path | str):
@@ -134,33 +121,17 @@ class ChatCache:
         self._fd: int | None = None
         # (size seen at load, size to cut the file to, bytes to write first)
         self._repair: tuple[int, int, bytes] | None = None
-        # (device, inode, size, mtime) of the file at load; None once this cache wrote
-        self._signature: tuple[int, int, int, int] | None = None
-        if not self.path.exists():
-            return
-        signature = _signature(os.stat(self.path))
-        with _OPEN_LOCK:
-            twin = _OPEN_CACHES.get(signature[:2])
-            if twin is not None:
-                with twin._lock:
-                    if twin._signature == signature:
-                        self._responses = dict(twin._responses)
-                        self._repair = twin._repair
-                        self._signature = signature
-                        return
-        try:
-            self._load()
-        except UnicodeDecodeError:
-            raise InputError(f"{self.path} is not UTF-8 text") from None
-        with _OPEN_LOCK:
-            _OPEN_CACHES[self._signature[:2]] = self
+        if self.path.exists():
+            try:
+                self._load()
+            except UnicodeDecodeError:
+                raise InputError(f"{self.path} is not UTF-8 text") from None
 
     def _load(self) -> None:
         line = "\n"
         with self.path.open(encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            self._signature = _signature(os.fstat(fh.fileno()))
-            size = self._signature[2]
+            size = os.fstat(fh.fileno()).st_size
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -200,7 +171,6 @@ class ChatCache:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
                 weakref.finalize(self, os.close, self._fd)
-            self._signature = None
             fcntl.flock(self._fd, fcntl.LOCK_EX)
             try:
                 if self._repair is not None:
@@ -276,21 +246,31 @@ class ReplayMiss(InputError, RuntimeError):
 class ReplayChatClient:
     """Serves responses recorded in a chat cache file; never goes to the network.
 
-    The file is read through a ``ChatCache``, so a torn last line is skipped
-    with a warning; the client never writes to it.
+    The file must exist when the client is made, but it is read, through a
+    ``ChatCache``, only at the first ``load`` or ``complete``. ``_ask`` looks
+    every prompt up in the run's cache first, so when the replay file is the
+    run's cache file every prompt it holds is a hit and the client reads
+    nothing. A torn last line is skipped with a warning at that first read;
+    the client never writes to the file.
     """
 
     def __init__(self, cache_path: Path | str):
-        path = Path(cache_path)
-        if not path.exists():
-            raise FileNotFoundError(f"replay cache not found: {path}")
-        self._cache = ChatCache(path)
+        self.path = Path(cache_path)
+        if not self.path.exists():
+            raise FileNotFoundError(f"replay cache not found: {self.path}")
+        self._cache: ChatCache | None = None
+
+    def load(self) -> ChatCache:
+        """Read the file, once; a malformed file raises here."""
+        if self._cache is None:
+            self._cache = ChatCache(self.path)
+        return self._cache
 
     def complete(self, model: str, messages: list[dict], *,
                  temperature: float = 0.0, max_tokens: int = 512) -> str:
-        response = self._cache.get(chat_key(model, messages[-1]["content"]))
+        response = self.load().get(chat_key(model, messages[-1]["content"]))
         if response is None:
-            raise ReplayMiss(f"{self._cache.path}: no cached response for prompt in replay mode")
+            raise ReplayMiss(f"{self.path}: no cached response for prompt in replay mode")
         return response
 
 
@@ -836,19 +816,21 @@ class PrecomputedEmbeddingProvider:
         return out
 
 
+EMBED_BATCH_SIZE = 64
+
+
 class HttpEmbeddingProvider:
     """OpenAI-compatible /embeddings client with the chat client's retry policy."""
 
     def __init__(self, model: str, base_url: str | None = None,
-                 api_key: str | None = None, batch_size: int = 64, timeout: float = 60.0):
+                 api_key: str | None = None, timeout: float = 60.0):
         self.model = model
-        self.batch_size = batch_size
         self._endpoint = HttpChatClient(base_url=base_url, api_key=api_key, timeout=timeout)
 
     def embed(self, texts: list[str]) -> np.ndarray:
         rows: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = texts[start:start + self.batch_size]
+        for start in range(0, len(texts), EMBED_BATCH_SIZE):
+            batch = texts[start:start + EMBED_BATCH_SIZE]
             data = _post_json(self._endpoint, "/embeddings",
                               {"model": self.model, "input": batch})
             items = sorted(data["data"], key=lambda item: item["index"])

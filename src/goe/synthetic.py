@@ -157,6 +157,9 @@ def make_planted_tag(
     return graph, manifest
 
 
+CENTROID_JITTER = 0.3
+
+
 class CentroidEmbeddingProvider:
     """Embeds a text near the centroid of the category it mentions.
 
@@ -166,10 +169,8 @@ class CentroidEmbeddingProvider:
     category get a pure hash vector scaled to the data's typical norm.
     """
 
-    def __init__(self, graph: TextAttributedGraph, manifest: DatasetManifest,
-                 jitter: float = 0.3):
+    def __init__(self, graph: TextAttributedGraph, manifest: DatasetManifest):
         self._dim = graph.embedding_dim
-        self.jitter = jitter
         self._names = list(manifest.category_names)
         emb = graph.embeddings.astype(np.float64)
         self._centroids = {}
@@ -190,7 +191,7 @@ class CentroidEmbeddingProvider:
                     break
             direction = hash_unit_vector(text, self._dim)
             if centroid is not None:
-                out[i] = centroid + self.jitter * direction
+                out[i] = centroid + CENTROID_JITTER * direction
             else:
                 out[i] = self._typical_norm * direction
         return out

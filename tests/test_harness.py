@@ -1,14 +1,15 @@
 """Experiment orchestration: configs, reports, reproducibility, sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from goe.gcn import TrainConfig
-from goe.graph import make_class_split, save_dataset
-from goe import scoring
+from goe.graph import InputError, make_class_split, sample_data_split, save_dataset
+from goe import llm, scoring
 from goe.harness import (
     ALL_METHODS,
     EXPOSURE_METHODS,
@@ -16,6 +17,8 @@ from goe.harness import (
     ExperimentConfig,
     LlmSettings,
     aggregate_report,
+    build_chat_client,
+    default_cache_path,
     export_histogram,
     format_results_table,
     read_scores_csv,
@@ -328,6 +331,62 @@ def test_sweep_count_zero_matches_energy_baseline(dataset_dir, tmp_path):
     assert rows[1]["count"] == 5
     assert (tmp_path / "sweep" / "sweep.md").exists()
     assert (tmp_path / "sweep" / "sweep.json").exists()
+
+
+class TestReplayClient:
+    """``build_chat_client`` for a replay run, beside the run's own ``ChatCache``."""
+
+    @staticmethod
+    def _annotated(planted, tmp_path):
+        """The identification inputs, and a cache file holding a mock pass over them."""
+        graph, manifest = planted
+        class_split = make_class_split(graph.labels, [0, 1])
+        split = sample_data_split(graph, class_split, seed=0,
+                                  test_id_size=150, test_ood_size=150)
+        inputs = (graph, manifest, class_split, split)
+        cache_path = tmp_path / "annotations.jsonl"
+        llm.identify_pseudo_ood(*inputs, client=llm.MockChatClient(),
+                                cache=llm.ChatCache(cache_path), sample_size=60, seed=0)
+        return inputs, cache_path
+
+    @staticmethod
+    def _replay_config(tmp_path, replay_path):
+        return ExperimentConfig(
+            dataset_dir=str(tmp_path), id_classes=[0, 1], method="goe_identifier",
+            output_dir=str(tmp_path / "out"),
+            llm=LlmSettings(client="replay", replay_path=replay_path, sample_size=60))
+
+    @pytest.mark.parametrize("replay_path", [None, "absolute", "annotations.jsonl"],
+                             ids=["defaulted", "absolute", "relative"])
+    def test_replaying_the_runs_own_cache_parses_it_once(self, planted, tmp_path,
+                                                         monkeypatch, replay_path):
+        inputs, cache_path = self._annotated(planted, tmp_path)
+        logged = cache_path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        if replay_path == "absolute":
+            replay_path = str(cache_path)
+        loads = []
+        real_load = llm.ChatCache._load
+
+        def counted(cache):
+            loads.append(cache.path)
+            real_load(cache)
+
+        monkeypatch.setattr(llm.ChatCache, "_load", counted)
+        config = self._replay_config(tmp_path, replay_path)
+        pseudo, annotations = llm.identify_pseudo_ood(
+            *inputs, client=build_chat_client(config),
+            cache=llm.ChatCache(default_cache_path(config)), sample_size=60, seed=0)
+        assert loads == [cache_path]
+        assert len(annotations) == 60 and len(pseudo) > 0
+        assert cache_path.read_bytes() == logged
+
+    def test_a_bad_replay_file_fails_before_the_runs_cache_answers(self, planted, tmp_path):
+        _, cache_path = self._annotated(planted, tmp_path)
+        bad = tmp_path / "replay.jsonl"
+        bad.write_bytes(cache_path.read_bytes() + b"not a record\n")
+        with pytest.raises(InputError, match=re.escape(f"{bad}: line 61 is not a chat record")):
+            build_chat_client(self._replay_config(tmp_path, str(bad)))
 
 
 def _run_digests(planted, root, method):
