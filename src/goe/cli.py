@@ -318,15 +318,20 @@ def train(directory: str, method: str, seed: int | None, **flags):
     click.echo(f"run artifacts in {out_dir}")
 
 
+def _read_json(path: Path):
+    """The JSON value in ``path``; a file that is not JSON fails in one line."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{path} is not JSON: {exc}") from None
+
+
 def _score_files(run_dir: Path) -> list[Path]:
     """The score files that the run record config.json lists, not the stale ones
     an earlier run into the directory left. A missing or malformed record, or a
     missing file, fails in one line."""
     path = run_dir / "config.json"
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path} is not JSON: {exc}") from None
+    record = _read_json(path)
     names = record.get("artifacts") if isinstance(record, dict) else None
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise InputError(f"{path} is not a run record: it has no list of artifacts")
@@ -341,7 +346,14 @@ def _score_files(run_dir: Path) -> list[Path]:
 def eval_cmd(run_dir: str):
     """Recompute metrics from the score files of a finished run."""
     run_dir = Path(run_dir)
-    for path in _score_files(run_dir):
+    files = _score_files(run_dir)
+    report_path, means = run_dir / "report.json", None
+    if report_path.exists():
+        stored = _read_json(report_path)
+        means = stored.get("mean") if isinstance(stored, dict) else None
+        if not isinstance(means, dict):
+            raise InputError(f"{report_path} is not a report: it has no object of means")
+    for path in files:
         rows = harness.read_scores_csv(path)
         id_scores = np.array([r["score"] for r in rows if not r["is_ood_truth"]])
         ood_scores = np.array([r["score"] for r in rows if r["is_ood_truth"]])
@@ -351,10 +363,8 @@ def eval_cmd(run_dir: str):
             f"aupr {metrics.aupr(id_scores, ood_scores):.4f} "
             f"fpr@95 {metrics.fpr_at_95_tpr(id_scores, ood_scores):.4f}"
         )
-    report_path = run_dir / "report.json"
-    if report_path.exists():
-        stored = json.loads(report_path.read_text(encoding="utf-8"))
-        click.echo("stored means: " + json.dumps(stored["mean"], sort_keys=True))
+    if means is not None:
+        click.echo("stored means: " + json.dumps(means, sort_keys=True))
 
 
 @main.command()

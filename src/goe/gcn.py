@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import metrics, scoring
-from .graph import InputError
+from .graph import InputError, row_stochastic_adjacency
 from .objectives import (DEFAULT_MARGIN_ID, DEFAULT_MARGIN_OOD, EXPOSURE, KPLUS1, SUPERVISED,
                          binary_head_loss, objective_loss)
 
@@ -458,28 +458,29 @@ def train_classifier(
     config: TrainConfig,
     objective: str,
     *,
-    output_dim: int,
     id_class_count: int,
     pseudo_ood_ids: np.ndarray | None = None,
     exposure_weights: Sequence[float] = (0.0,),
     val_scorer: str = "energy",
-    row_stochastic: sp.spmatrix | None = None,
     prop_alpha: float = 0.5,
     prop_iterations: int = 2,
 ) -> list[TrainResult]:
     """Full-batch training of ``objective`` (an ``objectives`` kind, with the
     margins of ``config``), one model per exposure weight, with early stopping
     on val accuracy + val AUROC under ``val_scorer`` (a ``scoring.score_nodes``
-    tag). Returns one result per weight, in order.
+    tag). Returns one result per weight, in order. The model has
+    ``id_class_count`` outputs, one more under ``KPLUS1``; a ``SUPERVISED``
+    objective ignores ``pseudo_ood_ids``.
 
     Every epoch trains on the receptive field of the nodes the loss reads
     (train and pseudo-OOD) and validates on the field of ``val_id`` and
     ``val_ood``, grown by ``prop_iterations`` hops when the val scorer is
     ``energy_prop``. Both give the full-graph loss, gradients and scores.
-    ``row_stochastic`` must share ``adjacency``'s sparsity pattern, as the
-    two operators in ``graph`` do. Each model keeps the parameters of its best
-    epoch (ties resolved to the earliest) and stops after ``config.patience``
-    consecutive non-improving epochs.
+    ``energy_prop`` propagates over ``row_stochastic_adjacency`` of the val
+    field's block of ``adjacency``; only its outermost ring is renormalized,
+    and no val node's score reads those rows. Each model keeps the parameters
+    of its best epoch (ties resolved to the earliest) and stops after
+    ``config.patience`` consecutive non-improving epochs.
 
     The weights train as one stacked model. The models start from the same
     parameters and share each epoch's dropout masks, and ``W2``'s off-diagonal
@@ -490,7 +491,9 @@ def train_classifier(
     config.validate()
     if objective not in (SUPERVISED, EXPOSURE, KPLUS1):
         raise ValueError(f"unknown objective kind {objective!r}")
-    if objective != SUPERVISED and (pseudo_ood_ids is None or len(pseudo_ood_ids) == 0):
+    if objective == SUPERVISED:
+        pseudo_ood_ids = None
+    elif pseudo_ood_ids is None or len(pseudo_ood_ids) == 0:
         raise ValueError("exposure requested but no pseudo-OOD available")
     if len(exposure_weights) == 0 or min(exposure_weights) < 0:
         raise ValueError(f"exposure_weights must be non-empty and non-negative, "
@@ -512,10 +515,9 @@ def train_classifier(
     val_rows = val_field.rows[0]
     val_labels = labels[val_rows]
     val_id, val_ood = val_field.local(split.val_id), val_field.local(split.val_ood)
-    val_prop = (row_stochastic[val_rows][:, val_rows]
-                if propagated and row_stochastic is not None else None)
+    val_prop = row_stochastic_adjacency(adjacency[val_rows][:, val_rows]) if propagated else None
 
-    hidden, out = config.hidden_dim, output_dim
+    hidden, out = config.hidden_dim, id_class_count + (objective == KPLUS1)
     single = init_params(features.shape[1], hidden, out, config.seed)
     count = len(exposure_weights)
     params = GcnParams(w1=np.tile(single.w1, count), b1=np.tile(single.b1, count),

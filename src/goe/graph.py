@@ -24,7 +24,6 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -470,19 +469,6 @@ def save_dataset(graph: TextAttributedGraph, manifest: DatasetManifest,
 # Adjacency operators
 # ---------------------------------------------------------------------------
 
-def _self_loop_adjacency(graph: TextAttributedGraph,
-                         values: Callable[..., np.ndarray]) -> sp.csr_matrix:
-    """The adjacency with self-loops, in CSR, with entries ``values(deg, rows, cols)``
-    at the COO pairs (each edge both ways, then the diagonal); ``deg`` counts the loop."""
-    n = graph.node_count
-    edges = graph.edges if graph.edges.size else np.zeros((0, 2), dtype=np.int64)
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
-    deg = np.bincount(rows, minlength=n).astype(np.float64)
-    return sp.coo_matrix((values(deg, rows, cols), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized adjacency with self-loops.
 
@@ -490,15 +476,24 @@ def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     diagonal, where degrees count the self-loop. Exactly symmetric because
     each off-diagonal pair is computed as the same commutative product.
     """
-    def values(deg, rows, cols):
-        deg_inv_sqrt = 1.0 / np.sqrt(deg)
-        return deg_inv_sqrt[rows] * deg_inv_sqrt[cols]
-    return _self_loop_adjacency(graph, values)
+    n = graph.node_count
+    edges = graph.edges if graph.edges.size else np.zeros((0, 2), dtype=np.int64)
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
+    deg_inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n).astype(np.float64))
+    values = deg_inv_sqrt[rows] * deg_inv_sqrt[cols]
+    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def row_stochastic_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
-    """Row-normalized adjacency with self-loops; every row sums to 1."""
-    return _self_loop_adjacency(graph, lambda deg, rows, cols: (1.0 / deg)[rows])
+def row_stochastic_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """The row-normalized pattern of ``adjacency``: entry (i, j) is 1 / (entries in
+    row i), on ``adjacency``'s own ``indices`` and ``indptr``. On
+    ``normalize_adjacency(graph)`` that is D⁻¹(A+I) bit for bit; on a block of
+    it, only the rows that lost neighbours differ."""
+    counts = np.diff(adjacency.indptr)
+    values = np.repeat(1.0 / counts, counts)
+    return sp.csr_matrix((values, adjacency.indices, adjacency.indptr), shape=adjacency.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -314,10 +314,8 @@ def build_pseudo_supervision(
 @dataclass
 class SeedOutcome:
     record: dict
-    scores: np.ndarray       # per-node scores on the work graph
     test_rows: list[dict]    # scores.csv rows for the test nodes
     params: gcn.GcnParams
-    head_weights: np.ndarray | None = None
 
 
 def run_seed(
@@ -371,8 +369,6 @@ def run_seed(
     labels = class_split.compact_labels(work_graph.labels)
     features = work_graph.embeddings.astype(np.float64)
     adjacency = normalize_adjacency(work_graph)
-    row_stochastic = (row_stochastic_adjacency(work_graph)
-                      if method.scorer == "energy_prop" else None)
 
     k = class_split.num_id_classes
     train_cfg = dataclasses.replace(config.train, seed=seed)
@@ -382,10 +378,8 @@ def run_seed(
     weights = config.exposure_weights if method.objective == EXPOSURE else [None]
     trained = gcn.train_classifier(
         features, adjacency, labels, val_split, train_cfg, method.objective,
-        output_dim=k + 1 if method.objective == KPLUS1 else k, id_class_count=k,
-        pseudo_ood_ids=None if method.objective == SUPERVISED else train_pseudo,
+        id_class_count=k, pseudo_ood_ids=train_pseudo,
         exposure_weights=[weight or 0.0 for weight in weights], val_scorer=method.scorer,
-        row_stochastic=row_stochastic,
         prop_alpha=config.prop_alpha, prop_iterations=config.prop_iterations,
     )
     # max keeps the first of equal scores: the earliest weight wins ties
@@ -412,7 +406,8 @@ def run_seed(
     scores = scoring.score_nodes(
         trace.logits, "binary_head" if method.head else method.scorer,
         hidden=trace.hidden, head_weights=head_weights,
-        row_stochastic=row_stochastic,
+        row_stochastic=(row_stochastic_adjacency(adjacency)
+                        if method.scorer == "energy_prop" else None),
         alpha=config.prop_alpha, iterations=config.prop_iterations,
     )
 
@@ -435,8 +430,7 @@ def run_seed(
     rows = [{"node_id": int(node_id), "is_ood_truth": truth, "method": config.method,
              "score": float(scores[node_id])}
             for truth, ids in ((0, split.test_id), (1, split.test_ood)) for node_id in ids]
-    return SeedOutcome(record=record, scores=scores, test_rows=rows,
-                       params=train_result.params, head_weights=head_weights)
+    return SeedOutcome(record=record, test_rows=rows, params=train_result.params)
 
 
 # ---------------------------------------------------------------------------

@@ -788,6 +788,7 @@ class PrecomputedEmbeddingProvider:
     """Looks embeddings up in a jsonl file keyed by sha256 of the text."""
 
     def __init__(self, path: Path | str):
+        self._path = path
         self._table: dict[str, np.ndarray] = {}
         dim = None
         for number, rec in _jsonl_records(path, "an embedding record",
@@ -811,7 +812,7 @@ class PrecomputedEmbeddingProvider:
         for i, text in enumerate(texts):
             key = text_key(text)
             if key not in self._table:
-                raise KeyError(f"no precomputed embedding for text hash {key[:12]}...")
+                raise InputError(f"{self._path}: no embedding for text hash {key}")
             out[i] = self._table[key]
         return out
 

@@ -20,7 +20,9 @@ from .graph import DatasetManifest, InputError, TextAttributedGraph, canonicaliz
 from .llm import hash_unit_vector
 
 PLANTED_CATEGORIES = ("Alpha Dynamics", "Beta Kinetics", "Gamma Morphology")
-PLANTED_ID_CLASSES = [0, 1]
+PLANTED_OBJECT_KIND = "report"
+ID_SEPARATION = 2.2      # the ID class means, ± on the first axis
+OOD_SHIFT = (2.0, 0.9)   # the OOD class mean on the first two axes
 _BLOCK_NODES = 4096  # nodes replayed from one batch of generator words
 
 
@@ -99,12 +101,8 @@ def make_planted_tag(
     seed: int = 0,
     nodes_per_class: int = 200,
     dim: int = 16,
-    id_separation: float = 2.2,
-    ood_shift: tuple[float, float] = (2.0, 0.9),
-    noise: float = 1.0,
     intra_degree: int = 4,
     cross_edge_fraction: float = 0.03,
-    object_kind: str = "report",
 ) -> tuple[TextAttributedGraph, DatasetManifest]:
     """Three-community planted graph with class-mean Gaussian embeddings.
 
@@ -127,15 +125,13 @@ def make_planted_tag(
     n = nodes_per_class * n_classes
 
     means = np.zeros((n_classes, dim))
-    means[0, 0] = +id_separation
-    means[1, 0] = -id_separation
-    means[2, 0] = ood_shift[0]
-    means[2, 1] = ood_shift[1]
+    means[:2, 0] = ID_SEPARATION, -ID_SEPARATION
+    means[2, :2] = OOD_SHIFT
 
     labels = np.repeat(np.arange(n_classes), nodes_per_class).astype(np.int64)
-    embeddings = (means[labels] + noise * rng.standard_normal((n, dim))).astype(np.float32)
+    embeddings = (means[labels] + rng.standard_normal((n, dim))).astype(np.float32)
 
-    heads = [f"{name} {object_kind} " for name in PLANTED_CATEGORIES]
+    heads = [f"{name} {PLANTED_OBJECT_KIND} " for name in PLANTED_CATEGORIES]
     tails = [f": synthetic field notes on {name.lower()} observed in trial "
              for name in PLANTED_CATEGORIES]
     texts = [f"{heads[c]}{i}{tails[c]}{i % 17}." for i, c in enumerate(labels.tolist())]
@@ -149,7 +145,7 @@ def make_planted_tag(
     graph.validate()
     manifest = DatasetManifest(
         name=f"planted-{seed}",
-        object_kind=object_kind,
+        object_kind=PLANTED_OBJECT_KIND,
         category_names=list(PLANTED_CATEGORIES),
         embedding_dim=dim,
         node_count=n,

@@ -412,6 +412,15 @@ def _train_generator_on_latin1(name):
     return setup
 
 
+def _train_generator_on_foreign_vectors(data, tmp):
+    """goe_generator on a precomputed file that holds no vector for the generated text."""
+    (data / "generated.jsonl").write_text(json.dumps(
+        {"category": "Gamma Morphology", "title": "t", "abstract": "a"}) + "\n")
+    (data / "vectors.jsonl").write_text(json.dumps({"key": "0" * 64, "vector": [1.0] * 16}) + "\n")
+    return ["train", data, "--method", "goe_generator", *_QUICK,
+            "--provider", "precomputed", "--provider-path", data / "vectors.jsonl"]
+
+
 def _replay_from(name, content: bytes):
     """A setup that annotates, replaying from a file ``name`` holding ``content``."""
     def setup(data, tmp):
@@ -548,6 +557,8 @@ INPUT_FAULTS = [
      lambda d, t: _train_generator_on_latin1("vectors.jsonl")(d, t) + [
          "--provider", "precomputed", "--provider-path", d / "vectors.jsonl"],
      "vectors.jsonl is not UTF-8 text"),
+    ("precomputed-without-a-generated-text", _train_generator_on_foreign_vectors,
+     "vectors.jsonl: no embedding for text hash "),
     ("annotate-replay-miss", _replay_from("empty.jsonl", b""),
      "empty.jsonl: no cached response for prompt in replay mode"),
     ("export-zero-bins", lambda d, t: ["export-scores", _train_run(d, t / "run"), "--bins", "0"],
@@ -567,6 +578,10 @@ INPUT_FAULTS = [
     ("export-run-record-lists-no-scores",
      _run_with_edited("export-scores", "config.json", '{"artifacts": ["report.json"]}'),
      "config.json lists no scores.csv"),
+    ("eval-report-not-json", _run_with_edited("eval", "report.json", "{not json"),
+     "report.json is not JSON"),
+    ("eval-report-without-means", _run_with_edited("eval", "report.json", "[1]"),
+     "report.json is not a report: it has no object of means"),
     ("eval-empty-scores-file", _run_with_edited("eval", "scores.csv", ""),
      "scores.csv holds no scores"),
     ("eval-non-numeric-score",

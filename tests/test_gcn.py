@@ -234,7 +234,7 @@ class TestBackward:
         p = init_params(X.shape[1], h, 2, seed=3)
         where, row_labels, ids = A, labels, train_ids
         if operator != "normalized":
-            where = row_stochastic_adjacency(graph)
+            where = row_stochastic_adjacency(A)
             assert (where - where.T).nnz
         if operator.endswith("field"):
             where = receptive_field(where, train_ids)
@@ -317,19 +317,25 @@ class TestReceptiveField:
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_energy_prop_scores_match_full_graph(self, seed):
-        graph, X, A, _ = build_random_graph(seed=seed, n=60, edge_prob=0.03)
-        P = row_stochastic_adjacency(graph)
+        """A field grown by as many hops as energy_prop propagates gives the
+        targets' whole-graph scores bit for bit, on the block of the whole
+        operator and on the block's own row-stochastic pattern, which differs
+        from it only in the outermost ring."""
+        _, X, A, _ = build_random_graph(seed=seed, n=60, edge_prob=0.03)
+        P = row_stochastic_adjacency(A)
         p = init_params(X.shape[1], 8, 3, seed=seed)
-        field = receptive_field(A, self.TARGETS, hops=2)
-        out = field.rows[0]
-        assert out.size < A.shape[0]
-
-        full = scoring.score_nodes(forward(p, A, X).logits, "energy_prop",
-                                   row_stochastic=P, iterations=2)
-        part = scoring.score_nodes(forward(p, field, X).logits, "energy_prop",
-                                   row_stochastic=P[out][:, out], iterations=2)
-        np.testing.assert_allclose(part[field.local(self.TARGETS)], full[self.TARGETS],
-                                   rtol=1e-12, atol=1e-12)
+        whole = forward(p, A, X).logits
+        for iterations in range(4):
+            field = receptive_field(A, self.TARGETS, hops=iterations)
+            out = field.rows[0]
+            assert out.size < A.shape[0]
+            full = scoring.score_nodes(whole, "energy_prop", row_stochastic=P,
+                                       iterations=iterations)
+            logits = forward(p, field, X).logits
+            for block in (P[out][:, out], row_stochastic_adjacency(A[out][:, out])):
+                part = scoring.score_nodes(logits, "energy_prop", row_stochastic=block,
+                                           iterations=iterations)
+                assert np.array_equal(part[field.local(self.TARGETS)], full[self.TARGETS])
 
 
 class TestAdam:
@@ -453,7 +459,7 @@ class TestTrainLoop:
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, patience=0, max_epochs=50, seed=0)
         [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                                    output_dim=2, id_class_count=2)
+                                    id_class_count=2)
         assert len(result.history) == 1
 
     def test_runs_to_max_epochs_when_patience_allows(self):
@@ -461,7 +467,7 @@ class TestTrainLoop:
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, patience=10, max_epochs=10, seed=0)
         [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                                    output_dim=2, id_class_count=2)
+                                    id_class_count=2)
         assert len(result.history) == 10
 
     def test_separable_toy_reaches_perfect_train_accuracy(self):
@@ -474,7 +480,7 @@ class TestTrainLoop:
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=8, seed=0, max_epochs=100)
         [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                                    output_dim=2, id_class_count=2)
+                                    id_class_count=2)
         from goe.metrics import id_accuracy
         logits = forward(result.params, A, X).logits
         assert id_accuracy(logits, labels, split.train_id) == 1.0
@@ -486,7 +492,7 @@ class TestTrainLoop:
 
         def run():
             return train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                                    output_dim=2, id_class_count=2)
+                                    id_class_count=2)
 
         [a], [b] = run(), run()
         for name in a.params.tensors():
@@ -498,7 +504,7 @@ class TestTrainLoop:
         _, split, labels, X, A = self._setup(graph)
         cfg = TrainConfig(hidden_dim=4, max_epochs=30, seed=1)
         [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                                    output_dim=2, id_class_count=2, val_scorer="energy")
+                                    id_class_count=2, val_scorer="energy")
         from goe import metrics, scoring
         logits = forward(result.params, A, X).logits
         val_acc = metrics.id_accuracy(logits, labels, split.val_id, id_class_count=2)
@@ -515,7 +521,7 @@ class TestTrainLoop:
         pseudo = np.setdiff1d(pseudo, split.evaluation_nodes())
         cfg = TrainConfig(hidden_dim=8, max_epochs=40, seed=0)
         [result] = train_classifier(X, A, labels, split, cfg, EXPOSURE,
-                                    output_dim=2, id_class_count=2,
+                                    id_class_count=2,
                                     pseudo_ood_ids=pseudo, exposure_weights=[0.05])
         assert np.isfinite(result.best_val_score)
 
@@ -526,7 +532,7 @@ class TestTrainLoop:
         cfg = TrainConfig(hidden_dim=4, seed=0)
         with pytest.raises(ValueError, match="empty training set"):
             train_classifier(X, A, labels, split, cfg, SUPERVISED,
-                             output_dim=2, id_class_count=2)
+                             id_class_count=2)
 
 
 def _full_graph_history(X, A, labels, split, cfg, kind, pseudo, val_scorer, P):
@@ -561,16 +567,16 @@ def test_field_training_history_matches_full_graph_loop(planted, kind, val_score
     split = sample_data_split(graph, cs, 0, test_id_size=150, test_ood_size=150)
     labels = cs.compact_labels(graph.labels)
     X, A = graph.embeddings.astype(np.float64), normalize_adjacency(graph)
-    P = row_stochastic_adjacency(graph)
+    P = row_stochastic_adjacency(A)
     pseudo = None
     if kind == EXPOSURE:
         pseudo = np.setdiff1d(np.flatnonzero(graph.labels == 2),
                               split.evaluation_nodes())[:30]
     cfg = TrainConfig(hidden_dim=16, max_epochs=5, patience=5, seed=3)
 
-    [result] = train_classifier(X, A, labels, split, cfg, kind, output_dim=2, id_class_count=2,
+    [result] = train_classifier(X, A, labels, split, cfg, kind, id_class_count=2,
                                 pseudo_ood_ids=pseudo, exposure_weights=[0.05],
-                                val_scorer=val_scorer, row_stochastic=P)
+                                val_scorer=val_scorer)
     reference = _full_graph_history(X, A, labels, split, cfg, kind, pseudo, val_scorer, P)
     assert len(result.history) == len(reference) == 5
     for got, want in zip(result.history, reference):
@@ -666,17 +672,15 @@ class TestStackedGrid:
         pseudo = np.setdiff1d(np.flatnonzero(graph.labels == 2),
                               split.evaluation_nodes())[:30]
         return (graph.embeddings.astype(np.float64), normalize_adjacency(graph),
-                cs.compact_labels(graph.labels), split, pseudo,
-                row_stochastic_adjacency(graph))
+                cs.compact_labels(graph.labels), split, pseudo)
 
     def test_each_block_matches_its_weight_trained_alone(self, planted):
-        X, A, labels, split, pseudo, P = self._problem(planted)
+        X, A, labels, split, pseudo = self._problem(planted)
         cfg = TrainConfig(hidden_dim=8, max_epochs=80, patience=5, seed=1)
         def train(weights):
-            return train_classifier(X, A, labels, split, cfg, EXPOSURE, output_dim=2,
+            return train_classifier(X, A, labels, split, cfg, EXPOSURE,
                                     id_class_count=2, pseudo_ood_ids=pseudo,
-                                    exposure_weights=weights, val_scorer="energy_prop",
-                                    row_stochastic=P)
+                                    exposure_weights=weights, val_scorer="energy_prop")
 
         stacked = train(self.WEIGHTS)
         assert len(stacked) == len(self.WEIGHTS)

@@ -173,8 +173,7 @@ class TestRunSeed:
         cfg = _config(dataset_dir, tmp_path, method="goe_generator")
         outcome = run_seed(graph, manifest, class_split, cfg, seed=0)
         assert outcome.record["pseudo_count"] == 10  # one OOD class, per_class=10
-        # scores cover the augmented graph, test rows only original nodes
-        assert len(outcome.scores) == graph.node_count + 10
+        # the test rows hold only original nodes
         assert max(r["node_id"] for r in outcome.test_rows) < graph.node_count
 
     def _with_generated_file(self, planted, tmp_path, categories):
@@ -213,17 +212,17 @@ class TestRunSeed:
         class_split = make_class_split(graph.labels, [0, 1])
         cfg = _config(dataset_dir, tmp_path, method="kplus1")
         outcome = run_seed(graph, manifest, class_split, cfg, seed=0)
-        assert np.all(outcome.scores > 0.0) and np.all(outcome.scores < 1.0)
+        scores = np.array([row["score"] for row in outcome.test_rows])
+        assert np.all(scores > 0.0) and np.all(scores < 1.0)
         assert outcome.params.output_dim == class_split.num_id_classes + 1
 
-    def test_binary_head_returns_head_weights(self, dataset_dir, planted, tmp_path):
+    def test_binary_head_scores_are_probabilities(self, dataset_dir, planted, tmp_path):
         graph, manifest = planted
         class_split = make_class_split(graph.labels, [0, 1])
         cfg = _config(dataset_dir, tmp_path, method="binary_head")
         outcome = run_seed(graph, manifest, class_split, cfg, seed=0)
-        assert outcome.head_weights is not None
-        assert outcome.head_weights.shape == (cfg.train.hidden_dim,)
-        assert np.all((outcome.scores > 0.0) & (outcome.scores < 1.0))
+        scores = np.array([row["score"] for row in outcome.test_rows])
+        assert np.all((scores > 0.0) & (scores < 1.0))
         assert "head_best_epoch" in outcome.record
 
 

@@ -525,7 +525,7 @@ class TestIdentify:
         with pytest.raises(ValueError, match="no pseudo-OOD"):
             train_classifier(graph.embeddings, normalize_adjacency(graph),
                              class_split.compact_labels(graph.labels), split, TrainConfig(),
-                             "exposure", output_dim=2, id_class_count=2,
+                             "exposure", id_class_count=2,
                              pseudo_ood_ids=pseudo.node_ids)
 
     def test_pool_excludes_evaluation_splits(self, planted_setup):
@@ -940,7 +940,8 @@ class TestEmbeddingProviders:
             fh.write(json.dumps({"key": text_key("hello"), "vector": [1.0, 2.0]}) + "\n")
         provider = PrecomputedEmbeddingProvider(path)
         np.testing.assert_array_equal(provider.embed(["hello"]), [[1.0, 2.0]])
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError, match="vectors.jsonl: no embedding for text hash "
+                                             f"{text_key('unknown')}$"):
             provider.embed(["unknown"])
 
 

@@ -261,8 +261,8 @@ def test_train_classifier_rejects_bad_objective_inputs():
     cfg = TrainConfig(hidden_dim=4, max_epochs=1, patience=0)
 
     def train(objective, **kwargs):
-        return train_classifier(X, A, labels, split, cfg, objective, output_dim=2,
-                                id_class_count=2, **kwargs)
+        return train_classifier(X, A, labels, split, cfg, objective, id_class_count=2,
+                                **kwargs)
 
     assert len(train(SUPERVISED)) == 1
     with pytest.raises(ValueError, match="unknown objective kind 'nonsense'"):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from goe.graph import TextAttributedGraph, canonicalize_edges, row_stochastic_adjacency
+from goe.graph import (TextAttributedGraph, canonicalize_edges, normalize_adjacency,
+                       row_stochastic_adjacency)
 from goe.metrics import auroc
 from goe.scoring import (
     binary_head_score,
@@ -111,13 +112,13 @@ def _ring_graph(n):
 
 class TestPropagation:
     def test_constant_vector_fixed_point(self):
-        p = row_stochastic_adjacency(_ring_graph(8))
+        p = row_stochastic_adjacency(normalize_adjacency(_ring_graph(8)))
         s = np.full(8, 2.5)
         for alpha in (0.0, 0.3, 1.0):
             np.testing.assert_allclose(propagate_scores(s, p, alpha, 3), s, atol=1e-12)
 
     def test_zero_iterations_identity(self):
-        p = row_stochastic_adjacency(_ring_graph(4))
+        p = row_stochastic_adjacency(normalize_adjacency(_ring_graph(4)))
         s = np.array([1.0, -2.0, 3.0, 0.0])
         assert np.array_equal(propagate_scores(s, p, 0.5, 0), s)
 
@@ -127,20 +128,20 @@ class TestPropagation:
             embeddings=np.zeros((2, 2), dtype=np.float32),
             labels=np.zeros(2, dtype=np.int64),
         )
-        p = row_stochastic_adjacency(g)  # both rows are (0.5, 0.5)
+        p = row_stochastic_adjacency(normalize_adjacency(g))  # both rows are (0.5, 0.5)
         out = propagate_scores(np.array([0.0, 1.0]), p, alpha=0.5, iterations=1)
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_mean_preserved_on_regular_graph(self):
         # the ring's row-stochastic operator is symmetric, hence doubly stochastic
-        p = row_stochastic_adjacency(_ring_graph(12))
+        p = row_stochastic_adjacency(normalize_adjacency(_ring_graph(12)))
         rng = np.random.default_rng(1)
         s = rng.normal(size=12)
         out = propagate_scores(s, p, alpha=0.4, iterations=5)
         assert out.mean() == pytest.approx(s.mean(), abs=1e-12)
 
     def test_alpha_out_of_range(self):
-        p = row_stochastic_adjacency(_ring_graph(4))
+        p = row_stochastic_adjacency(normalize_adjacency(_ring_graph(4)))
         with pytest.raises(ValueError):
             propagate_scores(np.zeros(4), p, alpha=1.5, iterations=1)
 
