@@ -353,16 +353,17 @@ def eval_cmd(run_dir: str):
         means = stored.get("mean") if isinstance(stored, dict) else None
         if not isinstance(means, dict):
             raise InputError(f"{report_path} is not a report: it has no object of means")
+    lines = []   # every file is read and checked before the first line prints
     for path in files:
         rows = harness.read_scores_csv(path)
         id_scores = np.array([r["score"] for r in rows if not r["is_ood_truth"]])
         ood_scores = np.array([r["score"] for r in rows if r["is_ood_truth"]])
         label = path.parent.name if path.parent != run_dir else "run"
-        click.echo(
-            f"{label}: auroc {metrics.auroc(id_scores, ood_scores):.4f} "
-            f"aupr {metrics.aupr(id_scores, ood_scores):.4f} "
-            f"fpr@95 {metrics.fpr_at_95_tpr(id_scores, ood_scores):.4f}"
-        )
+        lines.append(f"{label}: auroc {metrics.auroc(id_scores, ood_scores):.4f} "
+                     f"aupr {metrics.aupr(id_scores, ood_scores):.4f} "
+                     f"fpr@95 {metrics.fpr_at_95_tpr(id_scores, ood_scores):.4f}")
+    for line in lines:
+        click.echo(line)
     if means is not None:
         click.echo("stored means: " + json.dumps(means, sort_keys=True))
 

@@ -10,7 +10,11 @@ written out by hand for exactly this composition; there is no autodiff.
 Each layer runs its sparse product on the narrower side of its weight:
 ``A_hat @ (x @ w)`` when ``w`` has fewer output columns than input rows,
 else ``(A_hat @ x) @ w``. The choice depends only on the shapes, so layer 2
-(h > k) always projects first and layer 1 projects first when d > h.
+(h > k) always projects first and layer 1 projects first when d > h. The
+exception is an eval pass on a field that holds ``(A_hat @ X)[F1]``
+(``ReceptiveField.holding``): layer 1 aggregates first whatever the shapes,
+as ``held @ W1``, so the product that does not change within a training is
+made once.
 
 ``train_classifier`` takes one objective and a grid of G exposure weights,
 and trains them as one stack of G models: ``W1`` is ``(d, G*h)`` and ``W2``
@@ -96,7 +100,7 @@ class ForwardTrace:
 
     logits: np.ndarray          # (n, k_out)
     hidden: np.ndarray          # (n, h) post-ReLU, pre-dropout
-    dropped_input: np.ndarray   # (n, d) Drop(X); X itself in eval mode
+    dropped_input: np.ndarray | None  # (n, d) Drop(X); X in eval mode, None from held rows
     dropped_hidden: np.ndarray  # (n, h) Drop(hidden)
     relu_mask: np.ndarray       # (n, h) bool, pre-activation > 0
     field: ReceptiveField
@@ -133,12 +137,14 @@ class ReceptiveField:
     node). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
     ``A_hat[F0][:, F1]``. ``layer1_t`` and ``layer2_t`` are their transposes,
     CSC views sharing the blocks' arrays, built once per field for the
-    backward pass.
+    backward pass. ``held`` is ``(A_hat @ X)[F1]`` on a field from
+    ``holding``; an eval pass on it reads neither ``X`` nor ``layer1``.
     """
 
     rows: tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray | slice]
     layer1: sp.spmatrix
     layer2: sp.spmatrix
+    held: np.ndarray | None = None
 
     @classmethod
     def whole(cls, adjacency: sp.spmatrix) -> "ReceptiveField":
@@ -151,6 +157,14 @@ class ReceptiveField:
     @functools.cached_property
     def layer2_t(self) -> sp.spmatrix:
         return self.layer2.T
+
+    def holding(self, features: np.ndarray) -> "ReceptiveField":
+        """This field holding ``layer1 @ features[F2]`` for eval passes, when it
+        gathers its input rows; a field whose F2 is every node reads
+        ``features`` in place and is returned as it is."""
+        if isinstance(self.rows[2], slice):
+            return self
+        return dataclasses.replace(self, held=self.layer1 @ features[self.rows[2]])
 
     def local(self, node_ids: np.ndarray) -> np.ndarray:
         """Positions of ``node_ids`` (all in F0) among a grown field's output rows."""
@@ -224,7 +238,8 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
     """Forward pass on a field, or on the whole graph for a plain adjacency.
 
     ``features`` always holds every node; eval mode is deterministic and
-    dropout-free. ``blocks`` is the number of models stacked in ``params``.
+    dropout-free, and on a field with ``held`` rows it reads those instead
+    of ``features``. ``blocks`` is the number of models stacked in ``params``.
     Training keys the input mask (F2's rows) and one block's hidden mask (F1's
     rows) with ``rng.bit_generator.random_raw(2)``. Both keep at rate ``t / 2¹⁶``,
     ``1 - dropout`` rounded to a multiple of 2⁻¹⁶, and scale by ``2¹⁶ / t``.
@@ -250,9 +265,12 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
         mask_h = np.tile(dropout_mask(key_h, mid, features.shape[0], width, keep), blocks)
         x = features[inp] * mask_in
         x *= scale
-    else:
+    elif training or field.held is None:
         x = features[inp]
-    pre_act = _propagate(field.layer1, x, params.w1, width < params.input_dim) + params.b1
+    else:
+        x = None                 # layer 1 is the held (A_hat @ X)[F1] @ W1
+    pre_act = (field.held @ params.w1 if x is None
+               else _propagate(field.layer1, x, params.w1, width < params.input_dim)) + params.b1
     relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
     h = hidden if mask_h is None else hidden * mask_h * scale
@@ -476,6 +494,9 @@ def train_classifier(
     (train and pseudo-OOD) and validates on the field of ``val_id`` and
     ``val_ood``, grown by ``prop_iterations`` hops when the val scorer is
     ``energy_prop``. Both give the full-graph loss, gradients and scores.
+    The val field holds ``(A_hat @ X)[F1]`` when it does not hold every node,
+    so an eval pass multiplies only F1's rows by ``W1``; when d > h that moves
+    the val logits by last-bit rounding against the projecting-first order.
     ``energy_prop`` propagates over ``row_stochastic_adjacency`` of the val
     field's block of ``adjacency``; only its outermost ring is renormalized,
     and no val node's score reads those rows. Each model keeps the parameters
@@ -511,7 +532,7 @@ def train_classifier(
 
     propagated = val_scorer == "energy_prop"
     val_field = receptive_field(adjacency, np.concatenate([split.val_id, split.val_ood]),
-                                prop_iterations if propagated else 0)
+                                prop_iterations if propagated else 0).holding(features)
     val_rows = val_field.rows[0]
     val_labels = labels[val_rows]
     val_id, val_ood = val_field.local(split.val_id), val_field.local(split.val_ood)
@@ -527,6 +548,7 @@ def train_classifier(
 
     results = [TrainResult(single.copy()) for _ in range(count)]
     active = list(range(count))  # the weight of each block in the stack
+    in_blocks = np.kron(np.eye(count), np.ones((hidden, out)))  # W2 gets no gradient across blocks
 
     for epoch in range(1, config.max_epochs + 1):
         trace = forward(params, train_field, features, training=True,
@@ -544,7 +566,7 @@ def train_classifier(
             losses.append(loss)
         grads = backward(params, trace, grad_logits, weight_decay=config.weight_decay)
         del trace
-        grads["w2"] *= np.kron(np.eye(len(active)), np.ones((hidden, out)))  # none across blocks
+        grads["w2"] *= in_blocks
         adam_step(state, params, grads, config.learning_rate)
 
         logits = forward(params, val_field, features, blocks=len(active)).logits
@@ -567,6 +589,7 @@ def train_classifier(
             params = GcnParams(**_take_blocks(params.tensors(), going, hidden, out))
             state.m, state.v = (_take_blocks(t, going, hidden, out) for t in (state.m, state.v))
             active = [active[pos] for pos in going]
+            in_blocks = in_blocks[:going.size * hidden, :going.size * out]
 
     return results
 

@@ -441,6 +441,16 @@ def _eval_with_a_listed_file_missing(data, tmp):
     return ["eval", run]
 
 
+def _eval_with_the_last_seed_empty(data, tmp):
+    """A three-seed run whose last listed scores.csv holds only its header."""
+    result = CliRunner().invoke(main, ["compare", str(data), "--methods", "energy",
+                                       "--seeds", "0,1,2", "--out", str(tmp / "runs"), *_QUICK])
+    assert result.exit_code == 0, result.output
+    run = tmp / "runs" / "energy"
+    (run / "seed-2" / "scores.csv").write_text("node_id,is_ood_truth,method,score\n")
+    return ["eval", run]
+
+
 def _nodes_not_utf8(data, tmp):
     raw = bytearray((data / "nodes.jsonl").read_bytes())
     raw[raw.index(b'"text"') + 10] = 0xE9
@@ -584,6 +594,8 @@ INPUT_FAULTS = [
      "report.json is not a report: it has no object of means"),
     ("eval-empty-scores-file", _run_with_edited("eval", "scores.csv", ""),
      "scores.csv holds no scores"),
+    ("eval-later-seed-empty", _eval_with_the_last_seed_empty,
+     "seed-2/scores.csv holds no scores"),
     ("eval-non-numeric-score",
      _run_with_edited("eval", "scores.csv",
                       "node_id,is_ood_truth,method,score\n0,0,energy,1.5\n1,1,energy,abc\n"),

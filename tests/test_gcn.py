@@ -39,6 +39,7 @@ from goe.objectives import (
     objective_loss,
     supervised_loss,
 )
+from goe.synthetic import make_planted_tag
 
 from conftest import build_random_graph
 
@@ -305,15 +306,41 @@ class TestReceptiveField:
     def test_field_holding_every_node_reads_features_in_place(self):
         _, X, A, _ = build_random_graph(seed=0, n=20, edge_prob=0.2)
         p = init_params(X.shape[1], 5, 2, seed=0)
-        field = receptive_field(A, self.TARGETS)
+        field = receptive_field(A, self.TARGETS).holding(X)
         out, mid, inp = field.rows
-        assert inp == slice(None)
+        assert inp == slice(None) and field.held is None
         every = np.arange(A.shape[0])
         listed = dataclasses.replace(field, rows=(out, mid, every), layer1=A[mid][:, every])
 
         trace = forward(p, field, X)
         assert np.shares_memory(trace.dropped_input, X)
         assert np.array_equal(trace.logits, forward(p, listed, X).logits)
+
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_held_input_gives_whole_graph_logits(self, seed, d, h):
+        """An eval pass on a field holding (ÂX)[F1] gives the whole graph's F0
+        logits: bit for bit when the whole-graph pass also aggregates first
+        (d <= h), within rounding when it projects first (d > h). A training
+        pass on the field ignores the held rows."""
+        _, X, A, _ = build_random_graph(seed=seed, n=60, dim=d, edge_prob=0.03)
+        p = init_params(d, h, 3, seed=seed)
+        field = receptive_field(A, self.TARGETS)
+        held = field.holding(X)
+        out, mid, _ = field.rows
+        assert np.array_equal(held.held, (A @ X)[mid])
+
+        trace = forward(p, held, X)
+        whole = forward(p, A, X).logits[out]
+        assert trace.dropped_input is None
+        if d <= h:
+            assert np.array_equal(trace.logits, whole)
+        else:
+            np.testing.assert_allclose(trace.logits, whole, rtol=0, atol=1e-12)
+        train = [forward(p, where, X, training=True, dropout=0.5, rng=np.random.default_rng(7))
+                 for where in (field, held)]
+        assert np.array_equal(train[0].logits, train[1].logits)
+        assert np.array_equal(train[0].dropped_input, train[1].dropped_input)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_energy_prop_scores_match_full_graph(self, seed):
@@ -559,10 +586,8 @@ def _full_graph_history(X, A, labels, split, cfg, kind, pseudo, val_scorer, P):
     return history
 
 
-@pytest.mark.parametrize("kind, val_scorer", [(SUPERVISED, "energy"),
-                                              (EXPOSURE, "energy_prop")])
-def test_field_training_history_matches_full_graph_loop(planted, kind, val_scorer):
-    graph, _ = planted
+def _check_field_history(graph, kind, val_scorer):
+    """Five epochs of ``train_classifier`` log the full-graph loop's history."""
     cs = make_class_split(graph.labels, [0, 1])
     split = sample_data_split(graph, cs, 0, test_id_size=150, test_ood_size=150)
     labels = cs.compact_labels(graph.labels)
@@ -583,6 +608,21 @@ def test_field_training_history_matches_full_graph_loop(planted, kind, val_score
         assert got["val_acc"] == want["val_acc"]
         assert got["val_auroc"] == want["val_auroc"]
         assert got["loss"] == pytest.approx(want["loss"], rel=1e-12)
+
+
+FIELD_HISTORY_CASES = [(SUPERVISED, "energy"), (EXPOSURE, "energy_prop")]
+
+
+@pytest.mark.parametrize("kind, val_scorer", FIELD_HISTORY_CASES)
+def test_field_training_history_matches_full_graph_loop(planted, kind, val_scorer):
+    _check_field_history(planted[0], kind, val_scorer)
+
+
+@pytest.mark.parametrize("kind, val_scorer", FIELD_HISTORY_CASES)
+def test_field_training_history_matches_full_graph_loop_projecting_first(kind, val_scorer):
+    """d > h: the full-graph loop projects first and the held val field
+    aggregates first, so the val logits differ by rounding only."""
+    _check_field_history(make_planted_tag(seed=0, dim=64)[0], kind, val_scorer)
 
 
 def _stack(singles):
