@@ -7,14 +7,14 @@ written out by hand for exactly this composition; there is no autodiff.
     X_d = Drop(X)            H = ReLU(A_hat @ X_d @ W1 + b1)
     H_d = Drop(H)            Z = A_hat @ H_d @ W2 + b2
 
-Each layer runs its sparse product on the narrower side of its weight:
-``A_hat @ (x @ w)`` when ``w`` has fewer output columns than input rows,
-else ``(A_hat @ x) @ w``. The choice depends only on the shapes, so layer 2
-(h > k) always projects first and layer 1 projects first when d > h. The
-exception is an eval pass on a field that holds ``(A_hat @ X)[F1]``
-(``ReceptiveField.holding``): layer 1 aggregates first whatever the shapes,
-as ``held @ W1``, so the product that does not change within a training is
-made once.
+A training pass aggregates layer 1 first, ``(A_hat @ X_d)[F1] @ W1``, so W1's
+dense products, forward and backward, run on F1's rows rather than F2's, and
+its trace keeps that product instead of the input. Eval passes take the
+narrower side of each weight, ``A_hat @ (x @ w)`` when ``w`` has fewer output
+columns than input rows, else ``(A_hat @ x) @ w`` (whole-graph scoring has
+F1 = F2, so there aggregating first saves no rows): layer 2 (h > k) always
+projects first and layer 1 does when d > h, unless the field holds
+``(A_hat @ X)[F1]`` (``ReceptiveField.holding``) and reads ``held @ W1``.
 
 ``train_classifier`` takes one objective and a grid of G exposure weights,
 and trains them as one stack of G models: ``W1`` is ``(d, G*h)`` and ``W2``
@@ -33,11 +33,11 @@ the field gives the full-graph rows of F0, and the full-graph gradients of a
 loss that reads only F0. ``train_classifier`` runs each epoch on two fields,
 one grown from the nodes the loss reads and one from the validation nodes,
 so an epoch costs in proportion to the fields, not to the graph. The
-backward pass multiplies by the transposes of the forward pass's own blocks,
-so the gradients are exact for any adjacency. A plain adjacency is the
-whole-graph field. Entry (i, j) of a dropout mask is a counter hash of the
-pass's key, node i and column j (``dropout_mask``), so a pass computes only
-its field's rows and they equal the whole-graph mask's.
+backward pass multiplies by the forward pass's own blocks, so the gradients
+are exact for any adjacency. A plain adjacency is the whole-graph field.
+Entry (i, j) of a dropout mask is a counter hash of the pass's key, node i
+and column j (``dropout_mask``), so a pass computes only its field's rows and
+they equal the whole-graph mask's.
 """
 
 from __future__ import annotations
@@ -94,13 +94,15 @@ class GcnParams:
 class ForwardTrace:
     """Intermediates cached by a forward pass for the matching backward pass.
 
-    On a field, row counts are |F0| for ``logits``, |F1| for the hidden
-    arrays and |F2| for ``dropped_input``; the shapes below are whole-graph.
+    On a field, row counts are |F0| for ``logits``, |F1| for ``aggregated``
+    and the hidden arrays, and |F2| for the input arrays; the shapes below
+    are whole-graph. An unheld eval pass keeps its input, not ``aggregated``.
     """
 
     logits: np.ndarray          # (n, k_out)
     hidden: np.ndarray          # (n, h) post-ReLU, pre-dropout
-    dropped_input: np.ndarray | None  # (n, d) Drop(X); X in eval mode, None from held rows
+    aggregated: np.ndarray | None     # (n, d) A_hat @ Drop(X), or the held rows in eval
+    dropped_input: np.ndarray | None  # (n, d) X, from an eval pass with no held rows
     dropped_hidden: np.ndarray  # (n, h) Drop(hidden)
     relu_mask: np.ndarray       # (n, h) bool, pre-activation > 0
     field: ReceptiveField
@@ -135,10 +137,10 @@ class ReceptiveField:
     ``rows`` holds the sorted node ids F0 ⊆ F1 ⊆ F2 (or ``slice(None)`` for
     the whole graph; a grown field's F2 is ``slice(None)`` when it holds every
     node). ``layer1`` is ``A_hat[F1][:, F2]`` and ``layer2`` is
-    ``A_hat[F0][:, F1]``. ``layer1_t`` and ``layer2_t`` are their transposes,
-    CSC views sharing the blocks' arrays, built once per field for the
-    backward pass. ``held`` is ``(A_hat @ X)[F1]`` on a field from
-    ``holding``; an eval pass on it reads neither ``X`` nor ``layer1``.
+    ``A_hat[F0][:, F1]``. ``layer2_t`` is ``layer2``'s transpose, a CSC view
+    sharing its arrays, built once per field for the backward pass. ``held``
+    is ``(A_hat @ X)[F1]`` on a field from ``holding``; an eval pass on it
+    reads neither ``X`` nor ``layer1``.
     """
 
     rows: tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray | slice]
@@ -149,10 +151,6 @@ class ReceptiveField:
     @classmethod
     def whole(cls, adjacency: sp.spmatrix) -> "ReceptiveField":
         return cls((slice(None),) * 3, adjacency, adjacency)
-
-    @functools.cached_property
-    def layer1_t(self) -> sp.spmatrix:
-        return self.layer1.T
 
     @functools.cached_property
     def layer2_t(self) -> sp.spmatrix:
@@ -204,6 +202,10 @@ def _keep_threshold(keep: float) -> int:
     return t
 
 
+_PHI = 0x9E3779B97F4A7C15   # splitmix64's counter step, 2⁶⁴ / golden ratio
+_MASK_SPAN = 1 << 16        # words hashed per block, so its temporaries stay small and reused
+
+
 def dropout_mask(key: int, rows: np.ndarray | slice, n: int, cols: int,
                  keep: float) -> np.ndarray:
     """Bool keep mask, ``(len(rows), cols)``, for ``rows`` of an ``(n, cols)`` mask.
@@ -215,13 +217,18 @@ def dropout_mask(key: int, rows: np.ndarray | slice, n: int, cols: int,
     """
     t = _keep_threshold(keep)
     words = -(-cols // 4)
-    z = np.arange(n, dtype=np.uint64)[rows, None] * words + np.arange(words, dtype=np.uint64)
-    z = z * 0x9E3779B97F4A7C15 + key        # splitmix64: golden-ratio step, then mix
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> shift
-        z *= multiplier
-    z ^= z >> 31
-    return z.astype("<u8", copy=False).view("<u2")[:, :cols] < t
+    # counter * φ + key, summed mod 2⁶⁴ as a row term plus a column term
+    row_start = np.arange(n, dtype=np.uint64)[rows] * ((words * _PHI) % 2**64) + key
+    step = max(1, _MASK_SPAN // words)
+    mask = np.empty((row_start.size, cols), dtype=bool)
+    for start in range(0, row_start.size, step):
+        z = row_start[start:start + step, None] + np.arange(words, dtype=np.uint64) * _PHI
+        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> shift
+            z *= multiplier
+        z ^= z >> 31
+        mask[start:start + step] = z.astype("<u8", copy=False).view("<u2")[:, :cols] < t
+    return mask
 
 
 def _propagate(adjacency: sp.spmatrix, x: np.ndarray, w: np.ndarray,
@@ -269,7 +276,11 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
         x = features[inp]
     else:
         x = None                 # layer 1 is the held (A_hat @ X)[F1] @ W1
-    pre_act = (field.held @ params.w1 if x is None
+    if training:                 # W1 then meets F1's rows of A_hat @ X_d, not F2's of X_d
+        aggregated, x = field.layer1 @ x, None
+    else:
+        aggregated = field.held  # None: an unheld eval pass keeps x and may project first
+    pre_act = (aggregated @ params.w1 if aggregated is not None
                else _propagate(field.layer1, x, params.w1, width < params.input_dim)) + params.b1
     relu_mask = pre_act > 0
     hidden = pre_act * relu_mask
@@ -279,7 +290,7 @@ def forward(params: GcnParams, adjacency: sp.spmatrix | ReceptiveField,
         raise FloatingPointError("non-finite logits in forward pass")
 
     return ForwardTrace(
-        logits=logits, hidden=hidden, dropped_input=x, dropped_hidden=h,
+        logits=logits, hidden=hidden, aggregated=aggregated, dropped_input=x, dropped_hidden=h,
         relu_mask=relu_mask, field=field,
         drop_mask_input=mask_in, drop_mask_hidden=mask_h, dropout_scale=scale,
     )
@@ -290,8 +301,8 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
     """Gradients of loss(logits) + (wd/2)*(|W1|^2 + |W2|^2) w.r.t. parameters.
 
     Weight decay touches the weight matrices only, never the biases. The
-    gradients multiply by the transposes of the blocks the forward pass used
-    (CSC views, not copies), so they are exact for any adjacency and either
+    gradients multiply by the blocks the forward pass used, layer 1's through
+    ``aggregated``, so they are exact for any adjacency and either
     multiplication order. On a field, ``grad_logits`` holds the F0 rows, and
     the loss must read no other rows.
     """
@@ -306,7 +317,10 @@ def backward(params: GcnParams, trace: ForwardTrace, grad_logits: np.ndarray,
         g *= trace.drop_mask_hidden
         g *= trace.dropout_scale
     g *= trace.relu_mask
-    grad_w1 = trace.dropped_input.T @ (field.layer1_t @ g)
+    aggregated = trace.aggregated
+    if aggregated is None:
+        aggregated = field.layer1 @ trace.dropped_input
+    grad_w1 = aggregated.T @ g
     grad_b1 = g.sum(axis=0)
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * params.w1

@@ -10,6 +10,7 @@ particular carries no timestamps or machine paths.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -526,13 +527,29 @@ def write_run(out_dir: Path, config: ExperimentConfig, per_seed: list[dict],
 
 
 def environment_info() -> dict:
-    """Library versions for the run record.
+    """Library versions and the OpenBLAS thread count (None when no loaded
+    OpenBLAS reports it): a product such as ``X.T @ G`` sums in a threaded
+    order, so results are bitwise reproducible only for a fixed count."""
+    return {"numpy": np.__version__, "blas_threads": blas_threads_in_use()}
 
-    Results are bitwise reproducible only for a fixed BLAS thread count too,
-    but that count is not recorded yet; it can be read with ctypes from the
-    loaded OpenBLAS, as ``bench/bench.py`` does.
-    """
-    return {"numpy": np.__version__}
+
+def blas_threads_in_use() -> int | None:
+    """The thread count of the OpenBLAS loaded in this process, read with ctypes."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib in libs:
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                fn = getattr(lib, symbol)
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return None
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:

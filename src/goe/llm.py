@@ -50,6 +50,7 @@ IDENTIFY_TEMPERATURE = 0.0
 IDENTIFY_MAX_TOKENS = 512
 GENERATE_TEMPERATURE = 1.0
 GENERATE_MAX_TOKENS = 2048
+MAX_RETRY_AFTER_SECONDS = 60.0   # a longer rate-limit wait fails rather than sleeps
 
 PARSED_ID = "id"
 PARSED_OOD = "ood"
@@ -294,7 +295,14 @@ class HttpChatClient:
             "temperature": temperature,
             "max_tokens": max_tokens,
         })
-        return data["choices"][0]["message"]["content"]
+        try:
+            content = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise InputError(f"{self.base_url}/chat/completions: reply has no "
+                             f"choices[0].message.content string")
+        return content
 
 
 def _post_json(endpoint: HttpChatClient, route: str, body: dict) -> dict:
@@ -302,7 +310,9 @@ def _post_json(endpoint: HttpChatClient, route: str, body: dict) -> dict:
 
     Transport errors, 5xx responses and 429 rate limits are retried, up to
     ``endpoint.max_attempts`` calls, with 1s/2s/4s waits, or as many seconds
-    as a 429's ``Retry-After`` header gives. Other 4xx responses fail at once.
+    as a 429's ``Retry-After`` header gives. Other 4xx responses fail at once,
+    and so do a ``Retry-After`` above ``MAX_RETRY_AFTER_SECONDS`` and a 200
+    reply that is not JSON, each with an ``InputError``.
     """
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
@@ -316,12 +326,20 @@ def _post_json(endpoint: HttpChatClient, route: str, body: dict) -> dict:
             if resp.status_code == 429:
                 last_error = RuntimeError("rate limited (429)")
                 delay = _retry_after_seconds(resp)
+                if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
+                    raise InputError(f"{endpoint.base_url}{route}: rate limited with Retry-After "
+                                     f"{delay:g} s, over the {MAX_RETRY_AFTER_SECONDS:g} s "
+                                     f"this client waits")
             elif resp.status_code >= 500:
                 last_error = RuntimeError(f"server error {resp.status_code}")
             elif resp.status_code >= 400:
                 raise RuntimeError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
             else:
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError:   # requests' JSONDecodeError is a RequestException too
+                    raise InputError(f"{endpoint.base_url}{route}: reply is not JSON: "
+                                     f"{resp.text[:80]!r}") from None
         except requests.RequestException as exc:
             last_error = exc
         if attempt + 1 < endpoint.max_attempts:

@@ -244,28 +244,28 @@ TRAIN_PINS = {   # report.json, scores.csv, params.bin
             "ad0da8a23ba8286ddfa8b313c428cdcdea163b5a291accda34a4c72e7136cc97",
             "85f3bc5e36c543521812ea35260aa463a3075d2d252b698b5d6bbf1ec027a1d2"],
     "entropy": ["d2c17bfc287cea08ccbda195925c73a5a59843aebbdd0c85d299340dcdb95e21",
-                "d8a3d67d60d08768a82ebb94a31d0ca9ef376fd53c72d85a93ee72d0898323f5",
+                "12e13d18400f12f67546e7600e41d0e5f66d5a7c2911c0bbd472e98d3a598b81",
                 "85f3bc5e36c543521812ea35260aa463a3075d2d252b698b5d6bbf1ec027a1d2"],
     "energy": ["a379457fcd9193d683e08d2dfdf41064abc9d38fc0a0f1f5604a9e622c07b8b2",
-               "5c36acd7b90285d77a105a07f6baa0536d32fefd758c4e37c7f9430fc4ee476d",
+               "25e147b7f48fc658246acb972ff80378c8b685c5359b87bec3bf8559a9e986bc",
                "4c56609b3d6a904e31b9f69dc860969db75eb3ca51e0e1e216e6a1bd3c3889dd"],
     "energy_prop": ["2926d855523a9bb0175434d7fe166f391f4bbcb753e193c19c10577c30d1323b",
-                    "a9952a6988e69555d1d8bde4ef0f24a516a2b38e28bb7b755e81c9683f088711",
+                    "817f447c327e5144825ec90c241d6a2073d2423d910256c60da4c56de34d73e4",
                     "05d5007b383659bbb7ab40b70fad994aab2357da095853c0a1a584bebda0eeea"],
     "goe_identifier": ["f25a5b571f5e505a22510381889178779f1d8bc8043e0fcc094e4f28e808ef7e",
-                       "03ae61150b2d57c79b36d894cdad117a1139195222c37a19d26f131fd8579d76",
+                       "845985f446122d718eccbf637531f2d9445814772ad30c39763f7a62f9e78556",
                        "6a778b61418539050e115f63bf86ca7793745aa87aeb1944d3616e8aaf909197"],
     "goe_generator": ["35302efb3efa0d46d1f9cce72f08b6e4cda33cc5dc0e74f8e02b2a53b50bb182",
-                      "3f4e82e8b67a6d0e1eb031e94c613af2b552caedc330f5b8cdb0240dada66046",
+                      "334c3595f0ef252352790aa70d9a179676f7a2c9a35a40aab3e271164778550f",
                       "35b0f6676a69000570de721c710e9d6e1ee67ccf74961d45354565a96a006e2d"],
     "kplus1": ["93257ecaf998190da1c97274363bd2ceceebcdc4f19d4a3087666e0076be2b4d",
-               "057788162483d6d6029acd39831e1453e12e8f92276059ba667eaf40fba19ea4",
+               "414ca86457adb2aa3a5a8ba5cad4fdff519d6a2bf9d798f8796ae9c022fa6d7c",
                "c6513e5e70249cc6a2b801b7fe1803182a4b6037b127a365493d756589e70d61"],
     "binary_head": ["45f5379c0ef5e594d63a4fad0f0d5e03070cb536c23e2a0652bf8ec999cd82cc",
-                    "13d7e23cc066967e0fcbcb3e72d75adf880a28edeb39c38bdf622fe08625f6a8",
+                    "db8065f36414ef5762700731a91bc6ac4990122784614ff1a9b171759e4f16fd",
                     "4c56609b3d6a904e31b9f69dc860969db75eb3ca51e0e1e216e6a1bd3c3889dd"],
     "binary_head --pseudo-val": ["aa137290a8c9650e4cd28dd32e39ddb4021f27568a0c1b3ca30953026d12fca6",
-                                 "8e5c0e0747bf3c294f27e5afa1c103c0b32e90a9d06cad2d03e7dc5c3f2c04b4",
+                                 "88f5fcdac52453c7aee7566f1544dc19f03c3a231c7438e6ad4e0f1711e47379",
                                  "21f10572490c10664edf42cca1b14c8f7cefa5eb51bb515df0f51ea9514e81c7"],
 }
 

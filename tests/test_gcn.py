@@ -340,7 +340,36 @@ class TestReceptiveField:
         train = [forward(p, where, X, training=True, dropout=0.5, rng=np.random.default_rng(7))
                  for where in (field, held)]
         assert np.array_equal(train[0].logits, train[1].logits)
-        assert np.array_equal(train[0].dropped_input, train[1].dropped_input)
+        assert np.array_equal(train[0].aggregated, train[1].aggregated)
+
+    @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_training_trace_keeps_aggregated_rows_not_its_input(self, seed, d, h):
+        """A training pass on a grown field keeps (Â X_d)[F1], (|F1|, d), and no
+        float (|F2|, d) array; W1's gradient is that array's transpose times the
+        layer-1 gradient of a dense reference, whichever order eval would take."""
+        _, X, A, labels = build_random_graph(seed=seed, n=60, dim=d, edge_prob=0.03)
+        p = init_params(d, h, 2, seed=seed)
+        field = receptive_field(A, self.TARGETS)
+        out, mid, inp = field.rows
+        assert mid.size < inp.size < A.shape[0]
+        trace = forward(p, field, X, training=True, dropout=0.5, rng=np.random.default_rng(7))
+        assert trace.aggregated.shape == (mid.size, d) and trace.dropped_input is None
+        for value in vars(trace).values():
+            if isinstance(value, np.ndarray) and value.shape == (inp.size, d):
+                assert value.dtype == bool      # the input keep mask, an eighth of the floats
+
+        key_in, key_h = np.random.default_rng(7).bit_generator.random_raw(2)
+        dense = A.toarray()
+        x_d = X * gcn.dropout_mask(key_in, slice(None), *X.shape, 0.5) / 0.5
+        aggregated = (dense @ x_d)[mid]
+        np.testing.assert_allclose(trace.aggregated, aggregated, rtol=1e-12, atol=1e-12)
+        _, grad_logits = supervised_loss(trace.logits, labels[out], field.local(self.TARGETS))
+        keep_h = gcn.dropout_mask(key_h, mid, X.shape[0], h, 0.5) / 0.5
+        g = (dense[np.ix_(out, mid)].T @ grad_logits @ p.w2.T) * keep_h \
+            * (aggregated @ p.w1 + p.b1 > 0)
+        np.testing.assert_allclose(backward(p, trace, grad_logits)["w1"], aggregated.T @ g,
+                                   rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_energy_prop_scores_match_full_graph(self, seed):
@@ -678,6 +707,12 @@ class TestStackedGrid:
         forward(single, A, X)
         forward(_stack([single] * 3), A, X, blocks=3)
         assert orders[:2] == orders[2:] == [h < d, True]
+        orders.clear()
+        # a training pass aggregates layer 1 first outside _propagate; only layer 2 chooses
+        forward(single, A, X, training=True, dropout=0.5, rng=np.random.default_rng(0))
+        forward(_stack([single] * 3), A, X, training=True, dropout=0.5,
+                rng=np.random.default_rng(0), blocks=3)
+        assert orders == [True, True]
 
     @pytest.mark.parametrize("d, h", LAYER_1_ORDERS, ids=LAYER_1_ORDER_IDS)
     def test_stacked_gradients_match_finite_differences(self, d, h):

@@ -1,7 +1,10 @@
 """Experiment orchestration: configs, reports, reproducibility, sweeps."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import scipy.sparse as sp
 
 from goe.gcn import TrainConfig
 from goe.graph import InputError, make_class_split, sample_data_split, save_dataset
+import goe
 from goe import llm, scoring
 from goe.harness import (
     ALL_METHODS,
@@ -17,6 +21,7 @@ from goe.harness import (
     ExperimentConfig,
     LlmSettings,
     aggregate_report,
+    blas_threads_in_use,
     build_chat_client,
     default_cache_path,
     export_histogram,
@@ -242,6 +247,29 @@ class TestRunExperiment:
         bytes_b = (tmp_path / "b" / "report.json").read_bytes()
         assert bytes_a == bytes_b
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_record_names_the_blas_thread_count(self, dataset_dir, tmp_path, threads):
+        """config.json records the OpenBLAS thread count that made the run's
+        bits; report.json does not, so it stays comparable across machines."""
+        script = ("import sys\n"
+                  "from goe.gcn import TrainConfig\n"
+                  "from goe.harness import ExperimentConfig, run_experiment\n"
+                  "run_experiment(ExperimentConfig(dataset_dir=sys.argv[1], id_classes=[0, 1],\n"
+                  "    method='energy', output_dir=sys.argv[2], seeds=[0],\n"
+                  "    train=TrainConfig(max_epochs=2, patience=2),\n"
+                  "    test_id_size=150, test_ood_size=150))\n")
+        src = os.path.dirname(os.path.dirname(goe.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "run"
+        result = subprocess.run([sys.executable, "-c", script, str(dataset_dir), str(out)],
+                                env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        environment = json.loads((out / "config.json").read_text())["environment"]
+        expected = None if blas_threads_in_use() is None else threads
+        assert environment["blas_threads"] == expected
+        assert "blas" not in (out / "report.json").read_text()
+
     def test_exposure_beats_plain_energy(self, dataset_dir, tmp_path):
         base = run_experiment(_config(dataset_dir, tmp_path / "energy",
                                       method="energy", seeds=(0, 1)))
@@ -414,29 +442,29 @@ def _run_digests(planted, root, method):
 
 RUN_PINS = {   # report.json, seed-0/scores.csv, seed-1/scores.csv
     "msp": ["f5731411ab29b5209680d0b1261a2258e0b6cb8b75deb1746564811b4e46b2a2",
-            "682e1113942bba96dc8ca8f172bc4152d1a277a53256376cdec315c139874cc6",
-            "1de7f837f5c9095be88b1e013b8eeb114d480b2c15bbc1f775a09c7e556cacba"],
+            "418c26ae996e89ae74ca87ac6af762075db0e1a0e63528950a4084e58c2d6b7e",
+            "32392fdd4dae077df679c6b6e0d758844999d7968e5b94480692d021cbe4103f"],
     "entropy": ["c3fd37dd373833d4529a99b199b8ab97a62fbea8a0cd2f7d0b4cf8eb963efed6",
-                "b38cc247b8ed440c48a141f3695fac450537cdb73e23a4cfb523cf6947a3d15f",
-                "e91ff262e9d3304233d3d30d9d42840f87c18bf3592eab7b41a14c17633c56b3"],
+                "58b865e29c2bdcb74978abab9c2dd9cfa26ed596032f50b9d45e28888f9fb45d",
+                "007a68ff49bc792d73841f4ee6ff4436ee27e3b95e3aa8f629de27c77ad103c6"],
     "energy": ["668d7003ba63e4b10ee998246260d26e1fdeedf590c5332c313f8f8d139c4f24",
-               "6146bbe7113475e79ffc63ef707c34f898126447a417356a77050cbf1b04f7ec",
-               "7e8b6f4140f7453a6d40dad39dbd049dc7d5614ec6af30318954ae50b8b99f5e"],
+               "84a82c127ece6872ce9032c72463a4e331934068f8b0f0daa0c0f1741bf8683b",
+               "ef4f769abfe00c8639c698a9a80226240a1adda00d034d31b71342499137ac6e"],
     "energy_prop": ["91f2d29372b7ecdfb4736c81cf88c5c69c0fea1c92f85d67a76dad7666e9cd65",
-                    "f7124459a07e71273029449658bdefe340eb6404178cde9631564f695416e447",
-                    "d539e11705e9879868de727c21c8d8e31c36a45d8e091423ec8592ec56a920f5"],
+                    "7ce4d3dbe5fa7c6a2d538beb8997eee22e6aab51eeaab0fece60eb2ca5ed96d5",
+                    "f18294810f3f85f83a414f7662a6c07f1918f8a5bb1d4aa7af9e6be799b38811"],
     "goe_identifier": ["a743008f05c4e2fcfe47a0aadede24fa3a32b9868cc677263f85904710d017f9",
-                       "ea809c34d2ad69e24c327ef0dafb927289dbae3ee2bd71e733c151675d35e2b3",
-                       "170182d00437257e4ce5bf758b20f3bf517caee67438d714fcd1fa28a5fdc8aa"],
+                       "a89efd17c314ff1031d5b36d8e64bcb4d5c952c06fc12d38d0dbc610d6e2426e",
+                       "360b30a027329981d415ac3c54d4fcf921e1b494aff40a02bca8c40bf3349ac0"],
     "goe_generator": ["5347f56c4532d08a95bade042f36cf7499a79a764ccfedaad09d3d814609a063",
-                      "d55f6ffb5aec7b573fce13e6ddbc01c1168745d9db2e09a73ab7e69157bb743d",
-                      "fad4fd932f064ec52c9f3e1e5e85ddefa1ca92628edd0e6e2c52f9ee2cd2b31c"],
+                      "0224741d101e041d2c185cd9c6a88eb5a7be5b0f64e309e5c93b643ef183fd09",
+                      "43de4b41778882b2d8442a78b1e6a0616d2370b2a6f1679e98db7a827c8e25bb"],
     "kplus1": ["c158aebdae35d6927cd2416fd25f00d113090c564cdbe76fca36fbd99c541294",
-               "5cfc9ab8a006e5c3ecabbb599c7fd1fb06962d4b557b55e9cc3d6eb6c86609d3",
-               "a208485f924f629e8b1d44b42ab17f45fcf4d855d9f1e8934fd7f7154432c368"],
+               "3fe192048d87627a0cf5411d05596a5449ed1002222d09c29e661ea05c2ead72",
+               "ca6f8f5214f54e078fa54cc68503f6d08c4b26ccac4e4a69028861d98abe8032"],
     "binary_head": ["6c0260238319318410cae619785f1e34c5199c1c4a681ac7b9952225045bc181",
-                    "a7ebc4c29c3324a063335735eab0f67770f77ae046c3676140308ed483e90970",
-                    "35f73e27c606d262b01bd1d9662ed3658b4ba2e5c403beaf24628979c3f5b341"],
+                    "2c5323f0df3fd6b7f84f9dd90e025b22807b23c11557f950f728072b3f734cf8",
+                    "d8d62dfb7cbac0c0d1d394a99b1b8e29deae51d77ef6613fe2dde0c3d781c3a6"],
 }
 
 

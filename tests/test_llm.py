@@ -810,6 +810,31 @@ class TestHttpChatClient:
         assert len(posts) == client.max_attempts == 4
         assert sleeps == [1, 2, 4]
 
+    def test_long_retry_after_fails_instead_of_sleeping(self, monkeypatch):
+        client, posts, sleeps = self.client(
+            monkeypatch, [self.Reply(429, {"Retry-After": "3600"}), self.Reply(200)])
+        with pytest.raises(InputError, match="/chat/completions: rate limited with "
+                                             "Retry-After 3600 s, over the 60 s"):
+            self.complete(client)
+        assert len(posts) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("body, fault", [
+        (b"<html>busy</html>", "reply is not JSON: '<html>busy</html>'"),
+        (b'{"choices": []}', "reply has no choices[0].message.content string"),
+        (b'{"choices": [{"message": {"content": null}}]}',
+         "reply has no choices[0].message.content string"),
+    ], ids=["not-json", "no-choice", "null-content"])
+    def test_malformed_reply_fails_in_one_line_without_retry(self, monkeypatch, body, fault):
+        reply = requests.models.Response()
+        reply.status_code, reply._content, reply.encoding = 200, body, "utf-8"
+        client, posts, sleeps = self.client(monkeypatch, [reply, self.Reply(200)])
+        with pytest.raises(InputError) as raised:
+            self.complete(client)
+        assert str(raised.value) == f"http://chat.invalid/chat/completions: {fault}"
+        assert len(posts) == 1
+        assert sleeps == []
+
 
 class TestHttpEmbeddingProvider:
     class Reply(TestHttpChatClient.Reply):
