@@ -165,8 +165,9 @@ class ReceptiveField:
         return dataclasses.replace(self, held=self.layer1 @ features[self.rows[2]])
 
     def local(self, node_ids: np.ndarray) -> np.ndarray:
-        """Positions of ``node_ids`` (all in F0) among a grown field's output rows."""
-        return np.searchsorted(self.rows[0], node_ids)
+        """Positions of ``node_ids`` (all in F0) among the field's output rows."""
+        out = self.rows[0]
+        return node_ids if isinstance(out, slice) else np.searchsorted(out, node_ids)
 
 
 def _grow(adjacency: sp.spmatrix, rows: np.ndarray) -> np.ndarray:

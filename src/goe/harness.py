@@ -331,7 +331,14 @@ def run_seed(
     work_graph: TextAttributedGraph | None = None,
     total_generated: int | None = None,
 ) -> SeedOutcome:
-    """Train and evaluate one seed of the configured method."""
+    """Train and evaluate one seed of the configured method.
+
+    The final pass runs on the receptive field of the rows the report reads
+    (the test rows, ``energy_prop``'s hops around them, and a binary head's
+    train, pseudo-OOD and val rows) and reads the features in place; those
+    rows equal the whole graph's up to last-bit rounding. A field whose F2
+    holds every node keeps the whole-graph pass.
+    """
     config.validate()
     if split is None:
         split = sample_data_split(
@@ -387,8 +394,8 @@ def run_seed(
     chosen_weight, train_result = max(zip(weights, trained),
                                       key=lambda pair: pair[1].best_val_score)
 
-    trace = gcn.forward(train_result.params, adjacency, features)
-    head_result = head_weights = None
+    scorer = "binary_head" if method.head else method.scorer
+    read = [split.test_id, split.test_ood]
     if method.head:
         rng = stream_rng(seed, STREAM_HEAD_BALANCE)
         n_use = min(len(split.train_id), len(train_pseudo))
@@ -396,26 +403,46 @@ def run_seed(
             raise RuntimeError("binary head needs a non-empty pseudo-OOD set")
         id_sel = np.sort(rng.choice(split.train_id, size=n_use, replace=False))
         ood_sel = np.sort(rng.choice(train_pseudo, size=n_use, replace=False))
-        backbone_val_acc = metrics.id_accuracy(trace.logits, labels, split.val_id,
+        read += [id_sel, ood_sel, val_split.val_id, val_split.val_ood]
+    test_field = gcn.receptive_field(adjacency, np.concatenate(read),
+                                     config.prop_iterations if scorer == "energy_prop" else 0)
+    out, mid, inp = test_field.rows
+    if isinstance(inp, slice):   # every node is read: keep the whole-graph pass
+        test_field = gcn.ReceptiveField.whole(adjacency)
+        out = mid = inp
+    else:   # an eval pass needs no F2 rows: read the features in place, with no |F2| × d gather
+        test_field = gcn.ReceptiveField((out, mid, slice(None)), adjacency[mid], test_field.layer2)
+    local = test_field.local
+    trace = gcn.forward(train_result.params, test_field, features)
+    labels = labels[out]
+
+    head_weights = hidden = None
+    if method.head:
+        # the hidden rows are F1's; the head reads F0's
+        hidden = (trace.hidden if isinstance(mid, slice)
+                  else trace.hidden[np.searchsorted(mid, out)])
+        backbone_val_acc = metrics.id_accuracy(trace.logits, labels, local(split.val_id),
                                                id_class_count=k)
         head_result = gcn.train_binary_head(
-            trace.hidden, id_sel, ood_sel, val_split, train_cfg,
-            backbone_val_acc=backbone_val_acc,
+            hidden, local(id_sel), local(ood_sel),
+            dataclasses.replace(val_split, val_id=local(val_split.val_id),
+                                val_ood=local(val_split.val_ood)),
+            train_cfg, backbone_val_acc=backbone_val_acc,
         )
         head_weights = head_result.params
 
     scores = scoring.score_nodes(
-        trace.logits, "binary_head" if method.head else method.scorer,
-        hidden=trace.hidden, head_weights=head_weights,
-        row_stochastic=(row_stochastic_adjacency(adjacency)
-                        if method.scorer == "energy_prop" else None),
+        trace.logits, scorer, hidden=hidden, head_weights=head_weights,
+        row_stochastic=(row_stochastic_adjacency(adjacency if isinstance(out, slice)
+                                                 else adjacency[out][:, out])
+                        if scorer == "energy_prop" else None),
         alpha=config.prop_alpha, iterations=config.prop_iterations,
     )
 
-    id_scores, ood_scores = scores[split.test_id], scores[split.test_ood]
+    id_scores, ood_scores = scores[local(split.test_id)], scores[local(split.test_ood)]
     record = {
         "seed": seed,
-        "id_acc": metrics.id_accuracy(trace.logits, labels, split.test_id,
+        "id_acc": metrics.id_accuracy(trace.logits, labels, local(split.test_id),
                                       id_class_count=k),
         "auroc": metrics.auroc(id_scores, ood_scores),
         "aupr": metrics.aupr(id_scores, ood_scores),
@@ -425,12 +452,14 @@ def run_seed(
         "epochs_run": len(train_result.history),
         "pseudo_count": int(len(pseudo)) if pseudo is not None else 0,
     }
-    if head_result is not None:
+    if method.head:
         record["head_best_epoch"] = head_result.best_epoch
 
     rows = [{"node_id": int(node_id), "is_ood_truth": truth, "method": config.method,
-             "score": float(scores[node_id])}
-            for truth, ids in ((0, split.test_id), (1, split.test_ood)) for node_id in ids]
+             "score": float(score)}
+            for truth, ids, group in ((0, split.test_id, id_scores),
+                                      (1, split.test_ood, ood_scores))
+            for node_id, score in zip(ids, group)]
     return SeedOutcome(record=record, test_rows=rows, params=train_result.params)
 
 

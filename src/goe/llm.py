@@ -847,13 +847,26 @@ class HttpEmbeddingProvider:
         self._endpoint = HttpChatClient(base_url=base_url, api_key=api_key, timeout=timeout)
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        """One row per text. Each batch's reply must hold one item per text, with
+        indices 0..len(batch)-1 and list embeddings; else an ``InputError``."""
+        url = f"{self._endpoint.base_url}/embeddings"
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), EMBED_BATCH_SIZE):
             batch = texts[start:start + EMBED_BATCH_SIZE]
             data = _post_json(self._endpoint, "/embeddings",
                               {"model": self.model, "input": batch})
-            items = sorted(data["data"], key=lambda item: item["index"])
-            rows.extend(np.asarray(item["embedding"], dtype=np.float64) for item in items)
+            items = data.get("data") if isinstance(data, dict) else None
+            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+                raise InputError(f"{url}: reply has no data list of items")
+            if len(items) != len(batch):
+                raise InputError(f"{url}: reply holds {len(items)} items for a batch of "
+                                 f"{len(batch)} texts")
+            vectors = {item.get("index"): item.get("embedding") for item in items}
+            if set(vectors) != set(range(len(batch))):
+                raise InputError(f"{url}: reply item indices are not 0..{len(batch) - 1}")
+            if not all(isinstance(vector, list) for vector in vectors.values()):
+                raise InputError(f"{url}: a reply item has no embedding list")
+            rows.extend(np.asarray(vectors[i], dtype=np.float64) for i in range(len(batch)))
         return np.vstack(rows)
 
 

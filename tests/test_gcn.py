@@ -581,6 +581,25 @@ class TestTrainLoop:
                                     pseudo_ood_ids=pseudo, exposure_weights=[0.05])
         assert np.isfinite(result.best_val_score)
 
+    def test_every_epoch_validates_through_forward(self, monkeypatch):
+        """Each epoch makes one training and one eval ``gcn.forward`` call, also
+        when training stops early: a val pass that skips ``forward`` fails here."""
+        graph = _separable_toy()
+        _, split, labels, X, A = self._setup(graph)
+        calls = {True: 0, False: 0}
+        real_forward = gcn.forward
+
+        def counted(*args, training=False, **kwargs):
+            calls[training] += 1
+            return real_forward(*args, training=training, **kwargs)
+
+        monkeypatch.setattr(gcn, "forward", counted)
+        cfg = TrainConfig(hidden_dim=4, patience=3, max_epochs=200, seed=0)
+        [result] = train_classifier(X, A, labels, split, cfg, SUPERVISED,
+                                    id_class_count=2)
+        assert len(result.history) < cfg.max_epochs
+        assert calls[False] == len(result.history) == calls[True]
+
     def test_empty_training_set_rejected(self):
         graph = _separable_toy()
         _, split, labels, X, A = self._setup(graph)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import scipy.sparse as sp
 
 from goe.gcn import TrainConfig
 from goe.graph import InputError, make_class_split, sample_data_split, save_dataset
+from goe.synthetic import make_planted_tag
 import goe
-from goe import llm, scoring
+from goe import gcn, harness, llm, scoring
 from goe.harness import (
     ALL_METHODS,
     EXPOSURE_METHODS,
@@ -495,3 +497,53 @@ def test_config_rejects_an_unknown_key(data, message):
     base = {"dataset_dir": "data", "id_classes": [0, 1], "method": "energy", "output_dir": "out"}
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig.from_dict({**base, **data})
+
+
+@pytest.fixture(scope="module")
+def field_graphs():
+    """6,000-node planted graphs on which the test nodes' scoring field leaves
+    nodes out of F2: the default degree, and degree 1 for energy_prop, whose
+    field grows two hops more. Keyed by (propagates, dim); dim 64 is wider
+    than the hidden layer, so layer 1 projects before it propagates."""
+    return {(prop, dim): make_planted_tag(seed=0, nodes_per_class=2000, dim=dim,
+                                          intra_degree=1 if prop else 4)
+            for prop in (False, True) for dim in (16, 64)}
+
+
+def _gcn_with(receptive_field):
+    """A stand-in for ``harness.gcn`` with its own ``receptive_field``."""
+    return types.SimpleNamespace(**{**vars(gcn), "receptive_field": receptive_field})
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_scoring_on_the_test_field_matches_the_whole_graph_pass(field_graphs, tmp_path,
+                                                                monkeypatch, method, dim):
+    """The final pass on the test nodes' receptive field gives the whole-graph
+    pass's record, and its test scores to within 1e-12 in the same order."""
+    graph, manifest = field_graphs[METHODS[method].scorer == "energy_prop", dim]
+    class_split = make_class_split(graph.labels, [0, 1])
+    config = _config(tmp_path, tmp_path / "out", method=method,
+                     train=TrainConfig(max_epochs=15, patience=5))
+    fields = []
+
+    def recorded(adjacency, targets, hops=0):
+        fields.append(gcn.receptive_field(adjacency, targets, hops))
+        return fields[-1]
+
+    runs = []
+    for receptive_field in (recorded, lambda adjacency, *_: gcn.ReceptiveField.whole(adjacency)):
+        monkeypatch.setattr(harness, "gcn", _gcn_with(receptive_field))
+        runs.append(run_seed(graph, manifest, class_split, config, seed=0))
+    [field] = fields
+    assert not isinstance(field.rows[2], slice)   # the field path ran
+    assert field.rows[2].size < graph.node_count
+
+    on_field, whole = runs
+    assert on_field.record == whole.record
+    assert ([row["node_id"] for row in on_field.test_rows]
+            == [row["node_id"] for row in whole.test_rows])
+    scores, expected = ([row["score"] for row in run.test_rows] for run in runs)
+    np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(np.argsort(scores, kind="stable"),
+                          np.argsort(expected, kind="stable"))

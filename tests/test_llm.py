@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -865,6 +866,45 @@ class TestHttpEmbeddingProvider:
         assert posts == [("http://embed.invalid/embeddings",
                           {"model": "e", "input": ["a", "b"]})] * 2
         assert sleeps == chat_sleeps and len(sleeps) == 1
+
+    @pytest.mark.parametrize("bodies, message", [
+        ([{"object": "list"}], "reply has no data list of items"),
+        # 2 + 1 texts, answered 1 + 2: the total matches, the batches do not
+        ([{"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
+          {"data": [{"index": 0, "embedding": [0.0, 1.0]},
+                    {"index": 1, "embedding": [1.0, 1.0]}]}],
+         "reply holds 1 items for a batch of 2 texts"),
+        ([{"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                    {"index": 2, "embedding": [0.0, 1.0]}]}],
+         "reply item indices are not 0..1"),
+        ([{"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1}]}],
+         "a reply item has no embedding list"),
+    ], ids=["no-data", "short-then-long", "bad-index", "no-embedding"])
+    def test_a_malformed_reply_fails_in_one_line_without_retry(self, monkeypatch, bodies,
+                                                               message):
+        posts = []
+
+        class Reply(TestHttpChatClient.Reply):
+            def __init__(self, body):
+                super().__init__(200)
+                self.body = body
+
+            def json(self):
+                return self.body
+
+        replies = iter([Reply(body) for body in bodies])
+
+        def post(url, **kwargs):
+            posts.append(url)
+            return next(replies)
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("goe.llm.EMBED_BATCH_SIZE", 2)
+        provider = HttpEmbeddingProvider("e", base_url="http://embed.invalid")
+        with pytest.raises(InputError, match=re.escape(f"http://embed.invalid/embeddings: "
+                                                       f"{message}")):
+            provider.embed(["a", "b", "c"])
+        assert posts == ["http://embed.invalid/embeddings"]
 
 
 def test_annotation_accuracy_hand_case():
